@@ -1,13 +1,105 @@
 """Mirror-system RK4 integrator against closed-form and quadrature oracles."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retroflux as rf
 
 RNG_SEED = 20260809
+
+
+def _reference_integrate(params, forcing, T, h):
+    """The original per-step RK4 loop on the mirror system, kept as an oracle
+    for the blocked scan in `rf.integrate`; returns the stitched values."""
+    n = max(1, round(T / h))
+    h = T / n
+    grid = np.linspace(0.0, T, n + 1)
+    if forcing is None or (forcing.theta is None and forcing.eta is None):
+        gf = gmf = [0.0] * (n + 1)
+        gh = gmh = [0.0] * n
+    else:
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        gf = rf.eval_forcing(forcing, grid).tolist()
+        gh = rf.eval_forcing(forcing, mid).tolist()
+        gmf = rf.eval_forcing(forcing, -grid).tolist()
+        gmh = rf.eval_forcing(forcing, -mid).tolist()
+
+    a, b, c = params.a, params.b, params.c
+    p = q = c
+    P = [p]
+    Q = [q]
+    half = 0.5 * h
+    sixth = h / 6.0
+    for k in range(n):
+        k1p = a * p + b * q + gf[k]
+        k1q = -(a * q + b * p + gmf[k])
+        p2 = p + half * k1p
+        q2 = q + half * k1q
+        k2p = a * p2 + b * q2 + gh[k]
+        k2q = -(a * q2 + b * p2 + gmh[k])
+        p3 = p + half * k2p
+        q3 = q + half * k2q
+        k3p = a * p3 + b * q3 + gh[k]
+        k3q = -(a * q3 + b * p3 + gmh[k])
+        p4 = p + h * k3p
+        q4 = q + h * k3q
+        k4p = a * p4 + b * q4 + gf[k + 1]
+        k4q = -(a * q4 + b * p4 + gmf[k + 1])
+        p = p + sixth * (k1p + 2.0 * (k2p + k3p) + k4p)
+        q = q + sixth * (k1q + 2.0 * (k2q + k3q) + k4q)
+        if not (abs(p) < 1e300 and abs(q) < 1e300):
+            raise rf.SolutionOverflowError(
+                f"solution magnitude exceeded 1e+300 at t={h * (k + 1):.6g}; "
+                "shrink the horizon"
+            )
+        P.append(p)
+        Q.append(q)
+    return np.concatenate([np.asarray(Q[1:])[::-1], np.asarray(P)])
+
+
+def _kernel_pair(s, t):
+    """V and U of exp(tA) = V I + U A, written out per regime."""
+    if s > 0:
+        r = math.sqrt(s)
+        return np.cosh(r * t), np.sinh(r * t) / r
+    if s < 0:
+        w = math.sqrt(-s)
+        return np.cos(w * t), np.sin(w * t) / w
+    return np.ones_like(t), t.copy()
+
+
+def forced_exact(params, kappa, alpha, eta, t):
+    """Exact mirror state (p(t), p(-t)) for t >= 0 under forcing
+    theta + eta = exp(-kappa t) + alpha + eta, by variation of constants.
+
+    The constant part G = (g, -g) contributes U(t) G + (V(t) - 1)/s A G, with
+    (V - 1)/s = 2 U(t/2)^2 in every regime; for s != 0 this is the approach to
+    the steady state y* = -A G / s.  Each exponential e^{mu t} w in the
+    goodwill part has the particular solution e^{mu t} (mu I + A) w/(mu^2 - s).
+    """
+    a, b, c = params.a, params.b, params.c
+    s = a * a - b * b
+    A = np.array([[a, b], [-b, -a]])
+    V, U = _kernel_pair(s, t)
+    _, Uh = _kernel_pair(s, t / 2.0)
+
+    def exp_tA(y):
+        return np.outer(y, V) + np.outer(A @ y, U)
+
+    g = np.array([alpha + eta, -(alpha + eta)])
+    y = exp_tA(np.array([c, c])) + np.outer(g, U) + np.outer(A @ g, 2.0 * Uh * Uh)
+    if kappa is not None:
+        z1 = (A - kappa * np.eye(2)) @ [1.0, 0.0] / (kappa * kappa - s)
+        z2 = (A + kappa * np.eye(2)) @ [0.0, -1.0] / (kappa * kappa - s)
+        y += np.outer(z1, np.exp(-kappa * t)) + np.outer(z2, np.exp(kappa * t))
+        y -= exp_tA(z1 + z2)
+    return y
 
 
 def random_bounded_params(rng, s_max=4.0):
@@ -106,6 +198,30 @@ class TestIntegrate:
         with pytest.raises(rf.SolutionOverflowError):
             rf.integrate(rf.ModelParams(10, 0, 1), None, 100.0, 0.01)
 
+    def test_zero_start_at_huge_rate_stays_zero(self):
+        traj = rf.integrate(rf.ModelParams(10, 0, 0), None, 1e5, 1.0)
+        assert np.all(traj.values == 0.0)
+
+    def test_tiny_start_at_huge_rate_overflows_where_the_loop_does(self):
+        # an uncapped block length lets R^j overflow inside the first block
+        # and reports t=110; the step loop first exceeds the limit at t=214
+        with pytest.raises(rf.SolutionOverflowError, match=r"at t=214;"):
+            rf.integrate(rf.ModelParams(10, 0, 1e-300), None, 1e5, 1.0)
+
+    def test_overflow_reports_first_bad_sample(self):
+        with pytest.raises(rf.SolutionOverflowError, match=r"at t=69\.08;"):
+            rf.integrate(rf.ModelParams(10, 0, 1), None, 100.0, 0.01)
+
+    def test_step_count_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(rf.InvalidStepError, match="steps exceeds the limit"):
+                rf.integrate(rf.ModelParams(1, 0, 1), None, 1.0, 1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_forcing_coverage_checked_upfront(self):
         eta = rf.TimeSeries([0.0, 5.0], [1.0, 1.0])  # misses [-5, 0)
         with pytest.raises(rf.OutOfRangeError):
@@ -160,6 +276,69 @@ class TestIntegrate:
         r2 = rf.integrate(zero_ic, f2, T, h).values
         combined = hom + r1 + r2
         assert np.max(np.abs(total - combined)) <= 1e-6 * (1.0 + np.max(np.abs(total)))
+
+
+REGIMES = {
+    "exponential": rf.ModelParams(0.8, 0.3, 1.0),
+    "linear": rf.ModelParams(0.5, 0.5, 1.0),
+    "oscillatory": rf.ModelParams(0.3, 0.8, 1.0),
+}
+
+
+class TestForcedOracle:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize(
+        "kappa, alpha, eta", [(None, 0.0, 0.75), (1.0, 0.25, 0.0), (1.5, 0.25, -0.5)]
+    )
+    def test_variation_of_constants(self, regime, kappa, alpha, eta):
+        params = REGIMES[regime]
+        theta = None if kappa is None else rf.GoodwillSpec(kappa, alpha)
+        forcing = rf.ForcingSpec(theta=theta, eta=eta)
+        T, h = 5.0, 1e-3
+        traj = rf.integrate(params, forcing, T, h)
+        n = round(T / traj.h)
+        t = traj.h * np.arange(n + 1)
+        p, q = forced_exact(params, kappa, alpha, eta, t)
+        exact = np.concatenate([q[1:][::-1], p])
+        err = np.max(np.abs(traj.values - exact)) / np.max(np.abs(exact))
+        assert err <= 1e-9, (regime, kappa, err)
+
+
+def _forcing_strategy(T):
+    goodwill = st.builds(
+        lambda kappa, alpha, eta: rf.ForcingSpec(rf.GoodwillSpec(kappa, alpha), eta),
+        st.floats(0.1, 3.0),
+        st.floats(0.0, 1.0),
+        st.floats(-1.0, 1.0),
+    )
+    tabulated = st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=12).map(
+        lambda v: rf.ForcingSpec(eta=rf.TimeSeries(np.linspace(-T, T, len(v)), v))
+    )
+    return st.one_of(st.none(), goodwill, tabulated)
+
+
+@st.composite
+def integration_cases(draw):
+    a, b = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    params = rf.ModelParams(a, b, draw(st.floats(0.0, 5.0)))
+    T = draw(st.floats(1e-3, 10.0))
+    n = draw(st.integers(1, 20_000))
+    return params, draw(_forcing_strategy(T)), T, T / n
+
+
+class TestReferenceEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(integration_cases())
+    def test_scan_matches_step_loop(self, case):
+        try:
+            expected = _reference_integrate(*case)
+        except rf.SolutionOverflowError as exc:
+            with pytest.raises(rf.SolutionOverflowError, match=re.escape(str(exc))):
+                rf.integrate(*case)
+            return
+        values = rf.integrate(*case).values
+        scale = 1.0 + np.max(np.abs(expected))
+        assert np.max(np.abs(values - expected)) <= 1e-11 * scale
 
 
 class TestTrajectory:
