@@ -132,7 +132,8 @@ def correlate(x: TimeSeries, y: TimeSeries) -> CorrelationResult:
     var_y = float(dy @ dy)
     slope = cov / var_x
     intercept = float(ym - slope * xm)
-    pearson = cov / math.sqrt(var_x * var_y) if var_y > 0.0 else 0.0
+    # two roots: the product var_x * var_y can underflow to 0 for tiny values
+    pearson = cov / (math.sqrt(var_x) * math.sqrt(var_y)) if var_y > 0.0 else 0.0
     return CorrelationResult(slope=slope, intercept=intercept, pearson=pearson, n=n)
 
 

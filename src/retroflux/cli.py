@@ -1,8 +1,10 @@
 """Command-line front-end: simulate, fit, forecast, classify, correlate, plot.
 
 Exit codes: 0 on success, 1 on domain errors (the stderr line names the
-library error class), 2 on usage errors.  Output files are written to a
-temporary name and renamed, so a failing run never leaves a partial file.
+library error class), 2 on usage errors, including argument values that
+the library rejects (e.g. a negative forecast horizon).  Output files are
+written to a temporary name and renamed, so a failing run never leaves a
+partial file.
 Data outputs carry no timestamps; `fit --timestamp` opts into a created-at
 metadata entry.
 """
@@ -25,6 +27,7 @@ from .dataio import (
     encode_model_document,
     format_number,
     load_timeseries_csv,
+    write_forecast_csv,
     write_timeseries_csv,
 )
 from .errors import RetrofluxError
@@ -187,11 +190,7 @@ def _cmd_fit(args) -> int:
 def _cmd_forecast(args) -> int:
     document = _read_document(args.model)
     influence, rate = forecast(document.params, args.from_t, args.horizon, args.step)
-    lines = ["t,value,rate"]
-    for (t, v), (_, dv) in zip(influence, rate):
-        lines.append(f"{format_number(t)},{format_number(v)},{format_number(dv)}")
-    lines.append("")
-    _write_atomic(args.out, "\n".join(lines).encode("utf-8"))
+    _write_atomic(args.out, write_forecast_csv(influence, rate))
     print(f"wrote {len(influence)} forecast rows to {args.out}")
     return 0
 
@@ -256,12 +255,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except RetrofluxError as exc:
+    except (RetrofluxError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    except ValueError as exc:  # an argument value the library rejects
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ __all__ = [
     "encode_model_document",
     "format_number",
     "load_timeseries_csv",
+    "write_forecast_csv",
     "write_timeseries_csv",
 ]
 
@@ -90,7 +91,12 @@ def _parse_field(token: str, line_number: int, column: str) -> float:
 
 def load_timeseries_csv(data: bytes | str) -> TimeSeries:
     """Parse a `t,value` CSV byte stream into a TimeSeries."""
-    text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        error = MalformedHeaderError if line_number == 1 else NonNumericFieldError
+        raise error(f"line {line_number}: invalid UTF-8 ({exc.reason})") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
@@ -121,13 +127,19 @@ def load_timeseries_csv(data: bytes | str) -> TimeSeries:
     return TimeSeries(np.array(times), np.array(values))
 
 
+def _emit_csv(header: str, *columns: np.ndarray) -> bytes:
+    fields = [map(format_number, column.tolist()) for column in columns]
+    return "\n".join([header, *map(",".join, zip(*fields)), ""]).encode("utf-8")
+
+
 def write_timeseries_csv(series: TimeSeries) -> bytes:
     """Emit the exact format accepted by load_timeseries_csv."""
-    lines = [_HEADER]
-    for t, v in series:
-        lines.append(f"{format_number(t)},{format_number(v)}")
-    lines.append("")
-    return "\n".join(lines).encode("utf-8")
+    return _emit_csv(_HEADER, series.times, series.values)
+
+
+def write_forecast_csv(influence: TimeSeries, rate: TimeSeries) -> bytes:
+    """Emit a ``t,value,rate`` CSV from forecast's two series on one grid."""
+    return _emit_csv("t,value,rate", influence.times, influence.values, rate.values)
 
 
 # --- model documents -------------------------------------------------------
@@ -153,13 +165,30 @@ def encode_model_document(document: ModelDocument) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
+def _to_float(value: int | float) -> float:
+    """float(value), with a JSON integer beyond the double range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _unique_fields(pairs: list) -> dict:
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise TypeMismatchError(f"field {key!r} appears more than once")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _require_number(obj: dict, key: str, path: str) -> float:
     if key not in obj:
         raise MissingFieldError(path)
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeMismatchError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    value = _to_float(value)
     if not math.isfinite(value):
         raise TypeMismatchError(f"{path}: expected a finite number, got {value!r}")
     return value
@@ -185,7 +214,7 @@ def _decode_forcing(block, path: str) -> ForcingSpec:
         if isinstance(raw, bool):
             raise TypeMismatchError(f"{path}.eta: expected a number or pair list")
         if isinstance(raw, (int, float)):
-            eta = float(raw)
+            eta = _to_float(raw)
             if not math.isfinite(eta):
                 raise TypeMismatchError(f"{path}.eta: expected a finite number")
         elif isinstance(raw, list):
@@ -203,7 +232,7 @@ def _decode_forcing(block, path: str) -> ForcingSpec:
                     )
             try:
                 eta = TimeSeries.from_pairs(raw)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise TypeMismatchError(f"{path}.eta: {exc}") from None
         else:
             raise TypeMismatchError(
@@ -219,11 +248,11 @@ def decode_model_document(text: str | bytes) -> ModelDocument:
     at full double precision; domain constraints (c >= 0, kappa > 0, ...)
     are enforced here, never clamped.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
+        obj = json.loads(text, object_pairs_hook=_unique_fields)
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to parse
         raise TypeMismatchError(f"document is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise TypeMismatchError(f"document root must be an object, got {obj!r}")

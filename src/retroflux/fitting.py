@@ -26,6 +26,7 @@ from .errors import (
     SolutionOverflowError,
     TooFewPointsError,
 )
+from .integrator import sample_grid
 from .model import ModelParams, _kernels, eval_solution, eval_solution_derivative
 from .series import TimeSeries
 
@@ -141,7 +142,12 @@ def seed_parameters(series: TimeSeries) -> ModelParams:
         m0 = r0
 
     d0 = r0 * r0 / m0 if abs(m0) > 1e-8 else 0.0
-    return ModelParams(a=float(0.5 * (m0 + d0)), b=float(0.5 * (m0 - d0)), c=c0)
+    return _from_mdc(m0, d0, c0)
+
+
+def _from_mdc(m, d, c) -> ModelParams:
+    """(a, b, c) from the internal (m, d, c) = (a + b, a - b, c)."""
+    return ModelParams(a=float(0.5 * (m + d)), b=float(0.5 * (m - d)), c=float(c))
 
 
 def _predict(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -278,12 +284,7 @@ def fit(
             np.array([m0, 0.0, c0]),
             np.array([0.5, -0.5, c0]),
         ):
-            alt = ModelParams(
-                a=float(0.5 * (theta0[0] + theta0[1])),
-                b=float(0.5 * (theta0[0] - theta0[1])),
-                c=float(theta0[2]),
-            )
-            starts.append((theta0, alt))
+            starts.append((theta0, _from_mdc(*theta0)))
 
     spread = float(np.sum((v - v.mean()) ** 2))
     good_enough = 1e-6 * (spread + 1.0)
@@ -314,7 +315,7 @@ def fit(
         # the (a, b) split is undetermined; report the symmetric one
         d = 0.0
         message = "a+b ~ 0: constant solution, a-b undetermined (reported 0)"
-    fitted = ModelParams(a=0.5 * (m + d), b=0.5 * (m - d), c=c)
+    fitted = _from_mdc(m, d, c)
     final_rss = float(np.sum((v - eval_solution(fitted, t)) ** 2))
     return FitResult(
         params=fitted,
@@ -335,16 +336,16 @@ def forecast(
 ) -> tuple[TimeSeries, TimeSeries]:
     """Influence and rate-of-change forecasts on (from_t, from_t + horizon].
 
-    Both series share the grid from_t + k*step, k = 1..floor(horizon/step).
+    Both series share the grid from_t + k*step, k = 1..floor(horizon/step);
+    horizon/step above MAX_STEPS raises InvalidStepError.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be positive, got {step!r}")
-    count = int(math.floor(horizon / step + 1e-9))
-    if count < 1:
+    times = sample_grid(from_t, horizon, step)[1:]
+    if times.size == 0:
         raise ValueError("horizon admits no forecast point at this step")
-    times = from_t + step * np.arange(1, count + 1)
     return (
         TimeSeries(times, eval_solution(params, times)),
         TimeSeries(times, eval_solution_derivative(params, times)),

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidStepError, OutOfRangeError, SolutionOverflowError
-from .model import ModelParams
+from .model import ModelParams, _as_time_array
 from .series import TimeSeries
 
 __all__ = [
@@ -42,6 +42,16 @@ _OVERFLOW_LIMIT = 1e300
 # Largest step count T/h that integrate accepts, checked before allocating;
 # a forced run peaks near 100 bytes per step, so about 1 GB at the limit.
 MAX_STEPS = 10_000_000
+
+
+def sample_grid(start: float, span: float, step: float) -> np.ndarray:
+    """start + k*step for k = 0..floor(span/step + 1e-9); more than MAX_STEPS
+    steps raise InvalidStepError before anything is allocated."""
+    ratio = span / step
+    if ratio > MAX_STEPS:
+        raise InvalidStepError(f"span/step = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
+    return start + step * np.arange(int(math.floor(ratio + 1e-9)) + 1)
+
 
 # Bound on ||R||^B for the scan's block length B (1e300 * 1e8 stays finite).
 _BLOCK_GROWTH = 1e8
@@ -128,16 +138,7 @@ class Trajectory:
 
 def goodwill_theta(spec: GoodwillSpec, t):
     """Evaluate theta(t) = exp(-kappa*t) + alpha at scalar or array t."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("time values must be finite")
-    with np.errstate(over="ignore"):
-        out = np.exp(-spec.kappa * arr) + spec.alpha
-    if not np.all(np.isfinite(out)):
-        raise SolutionOverflowError(
-            "goodwill term overflows at strongly negative times"
-        )
-    return float(out) if arr.ndim == 0 else out
+    return eval_forcing(ForcingSpec(theta=spec), t)
 
 
 def eval_forcing(forcing: ForcingSpec | None, t):
@@ -145,42 +146,40 @@ def eval_forcing(forcing: ForcingSpec | None, t):
 
     Raises OutOfRangeError when a tabulated eta does not cover t.
     """
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("time values must be finite")
-    out = np.zeros_like(arr, dtype=float)
-    if forcing is not None:
-        if forcing.theta is not None:
-            out = out + goodwill_theta(forcing.theta, arr)
-        if isinstance(forcing.eta, TimeSeries):
-            lo, hi = forcing.eta.times[0], forcing.eta.times[-1]
-            if np.any(arr < lo) or np.any(arr > hi):
-                raise OutOfRangeError(
-                    f"tabulated eta covers [{lo:.6g}, {hi:.6g}] but was "
-                    f"queried outside it"
-                )
-            out = out + np.interp(arr, forcing.eta.times, forcing.eta.values)
-        elif forcing.eta is not None:
-            out = out + forcing.eta
-    return float(out) if arr.ndim == 0 else out
+    arr, scalar = _as_time_array(t)
+    _check_eta_coverage(forcing, arr, "was queried outside it")
+    out = _forcing_values(forcing or ForcingSpec(), arr)
+    return float(out[0]) if scalar else out
 
 
-def _check_eta_coverage(forcing: ForcingSpec | None, T: float) -> None:
+def _check_eta_coverage(forcing: ForcingSpec | None, t, needed: str) -> None:
     if forcing is None or not isinstance(forcing.eta, TimeSeries):
         return
     lo, hi = forcing.eta.times[0], forcing.eta.times[-1]
-    if lo > -T or hi < T:
-        raise OutOfRangeError(
-            f"tabulated eta covers [{lo:.6g}, {hi:.6g}] but integration "
-            f"needs [-{T:.6g}, {T:.6g}] (mirror state evaluates eta at -t)"
-        )
+    if lo > np.min(t, initial=math.inf) or hi < np.max(t, initial=-math.inf):
+        raise OutOfRangeError(f"tabulated eta covers [{lo:.6g}, {hi:.6g}] but {needed}")
+
+
+def _forcing_values(forcing: ForcingSpec, t: np.ndarray) -> np.ndarray:
+    """theta(t) + eta(t) at finite times that a tabulated eta covers."""
+    out = np.zeros_like(t)
+    if forcing.theta is not None:
+        with np.errstate(over="ignore"):
+            out += np.exp(-forcing.theta.kappa * t) + forcing.theta.alpha
+        if not np.all(np.isfinite(out)):
+            raise SolutionOverflowError("goodwill term overflows at strongly negative times")
+    if isinstance(forcing.eta, TimeSeries):
+        out += np.interp(t, forcing.eta.times, forcing.eta.values)
+    elif forcing.eta is not None:
+        out += forcing.eta
+    return out
 
 
 def _forcing_steps(forcing: ForcingSpec, grid: np.ndarray, h: float, a: float, b: float):
     """Forcing f_k of every RK4 step, shape (2, n), from G = (g(t), -g(-t))."""
     mid = 0.5 * (grid[:-1] + grid[1:])
-    gf = np.stack([eval_forcing(forcing, grid), -eval_forcing(forcing, -grid)])
-    gh = np.stack([eval_forcing(forcing, mid), -eval_forcing(forcing, -mid)])
+    gf = np.stack([_forcing_values(forcing, grid), -_forcing_values(forcing, -grid)])
+    gh = np.stack([_forcing_values(forcing, mid), -_forcing_values(forcing, -mid)])
     hs = h * h * (a * a - b * b)
     x = (h + h * hs / 4.0) * gf[:, :-1] + 2.0 * h * gh
     f = (1.0 + hs / 2.0) * gf[:, :-1] + (4.0 + hs / 2.0) * gh + gf[:, 1:]
@@ -252,7 +251,8 @@ def integrate(
         raise InvalidStepError(f"step h must satisfy 0 < h <= T, got {h!r}")
     if T / h >= MAX_STEPS + 0.5:
         raise InvalidStepError(f"T/h = {T / h:.3g} steps exceeds the limit of {MAX_STEPS}")
-    _check_eta_coverage(forcing, T)
+    needed = f"integration needs [-{T:.6g}, {T:.6g}] (mirror state evaluates eta at -t)"
+    _check_eta_coverage(forcing, (-T, T), needed)
 
     n = max(1, round(T / h))
     h = T / n

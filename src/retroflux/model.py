@@ -190,6 +190,16 @@ def _as_time_array(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _evaluate(params: ModelParams, t, derivative: bool):
+    arr, scalar = _as_time_array(t)
+    s = params.a * params.a - params.b * params.b
+    m = params.a + params.b
+    V, U = _kernels(s, arr)
+    c = params.c
+    out = c * s * U + m * c * V if derivative else c * V + m * c * U
+    return float(out[0]) if scalar else out
+
+
 def eval_solution(params: ModelParams, t):
     """Influence p(t) at one or many times (negative t is allowed).
 
@@ -197,12 +207,7 @@ def eval_solution(params: ModelParams, t):
     Raises SolutionOverflowError when the exponential argument sqrt(s)*t
     leaves the representable range.
     """
-    arr, scalar = _as_time_array(t)
-    s = params.a * params.a - params.b * params.b
-    m = params.a + params.b
-    V, U = _kernels(s, arr)
-    out = params.c * V + m * params.c * U
-    return float(out[0]) if scalar else out
+    return _evaluate(params, t, derivative=False)
 
 
 def eval_solution_derivative(params: ModelParams, t):
@@ -211,12 +216,7 @@ def eval_solution_derivative(params: ModelParams, t):
     Because V is even and U is odd, this equals a*p(t) + b*p(-t) identically,
     which is the correctness oracle used throughout the test suite.
     """
-    arr, scalar = _as_time_array(t)
-    s = params.a * params.a - params.b * params.b
-    m = params.a + params.b
-    V, U = _kernels(s, arr)
-    out = params.c * s * U + m * params.c * V
-    return float(out[0]) if scalar else out
+    return _evaluate(params, t, derivative=True)
 
 
 def fde_residual(params: ModelParams, trajectory: "Trajectory") -> float:

@@ -16,7 +16,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import EmptyGridError, EmptySeriesError, NotExponentialError
-from .integrator import Trajectory
+from .integrator import Trajectory, sample_grid
 from .model import ModelParams, discriminant, eval_solution, solution_coefficients
 from .series import TimeSeries
 
@@ -210,7 +210,8 @@ def render_sweep(
     T: float,
     step: float,
 ) -> str:
-    """One closed-form curve per grid entry, sampled on [0, T].
+    """One closed-form curve per grid entry, sampled on [0, T] at `step`
+    (T/step above MAX_STEPS raises InvalidStepError).
 
     `base` only anchors the title; the curves come from the grid entries and
     are labeled by their (w1, w2) pair (falling back to (a, b) outside the
@@ -222,8 +223,7 @@ def render_sweep(
         raise EmptyGridError("sweep grid is empty")
     if not (math.isfinite(T) and T > 0 and math.isfinite(step) and step > 0):
         raise ValueError("T and step must be positive")
-    count = int(math.floor(T / step + 1e-9))
-    times = step * np.arange(count + 1)
+    times = sample_grid(0.0, T, step)
     series = tuple(
         PlotSeries(
             label=_sweep_label(params, vary),

@@ -116,6 +116,11 @@ class TestCorrelate:
         assert abs(result.intercept - 1.0) <= 1e-12
         assert abs(result.pearson - 1.0) <= 1e-12
 
+    def test_tiny_values_do_not_underflow(self):
+        # var_x * var_y underflows to 0 here; the roots of each do not
+        x = rf.TimeSeries([0.0, 0.5, 1.0], [0.0, 0.0, 1.8136255334926433e-115])
+        assert rf.correlate(x, x).pearson == pytest.approx(1.0)
+
     def test_constant_x_rejected(self):
         x = rf.TimeSeries([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
         y = rf.TimeSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])

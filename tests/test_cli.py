@@ -1,9 +1,16 @@
 """Command-line behavior: round trips, exit codes, determinism, atomic writes."""
 
+import contextlib
+import io
+import json
+import os
+import tempfile
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retroflux as rf
 from retroflux.cli import main
@@ -61,6 +68,127 @@ class TestFitErrors:
         with pytest.raises(SystemExit) as info:
             main(["unknown-command"])
         assert info.value.code == 2
+
+
+class TestArgumentValues:
+    def test_rejected_values_are_usage_errors(self, tmp_path, capsys):
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.8, 0.3, 1.0)
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"t,value\n0,1\n1,2\n2,4\n3,8\n")
+        out = tmp_path / "out"
+        for argv, message in (
+            (["forecast", "--model", str(doc), "--from", "0", "--horizon", "-1",
+              "--step", "1", "--out", str(out)], "horizon must be positive"),
+            (["fit", "--data", str(data), "--out", str(out), "--max-iterations", "0"],
+             "max_iterations must be positive"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+            assert f"error: {message}" in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_grid_cap_is_domain_error(self, tmp_path, capsys):
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.8, 0.3, 1.0)
+        argv = ["forecast", "--model", str(doc), "--from", "0", "--horizon", "1e308",
+                "--step", "1e-308", "--out", str(tmp_path / "fc.csv")]
+        assert main(argv) == 1
+        assert "InvalidStepError" in capsys.readouterr().err
+
+
+class TestUndecodableInput:
+    def test_named_errors_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        data.write_bytes(b"t,value\n0,1\n1,\xff\n")
+        assert main(["correlate", "--x", str(data), "--y", str(data)]) == 1
+        assert "NonNumericFieldError: line 3" in capsys.readouterr().err
+        doc = tmp_path / "m.doc"
+        for text in ('{"a": %s, "b": 0.1, "c": 1}' % ("9" * 400),
+                     '{"a": 0.8, "a": 0.1, "b": 0.1, "c": 1}'):
+            doc.write_text(text)
+            assert main(["classify", "--model", str(doc)]) == 1
+            assert "TypeMismatchError" in capsys.readouterr().err
+
+
+# Argument values: valid, invalid and extreme.  Any two of them give at most
+# 2,000 steps or rows, or exceed MAX_STEPS, so no example allocates much.
+_VALUES = st.sampled_from(
+    ["0", "1", "2", "0.5", "1e3", "-1", "1e-308", "1e308", "nan", "inf", "-inf", "x"]
+)
+_JSON_NUMBER = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(),
+    st.sampled_from([0.8, 0.3, -0.5, 1.0, 0.0]),
+)
+_DOCUMENT = st.one_of(
+    st.binary(max_size=48),
+    st.fixed_dictionaries(
+        {"a": _JSON_NUMBER, "b": _JSON_NUMBER, "c": _JSON_NUMBER},
+        optional={
+            "forcing": st.fixed_dictionaries(
+                {},
+                optional={
+                    "kappa": _JSON_NUMBER,
+                    "alpha": _JSON_NUMBER,
+                    "eta": st.one_of(
+                        _JSON_NUMBER,
+                        st.lists(st.tuples(_JSON_NUMBER, _JSON_NUMBER), max_size=4),
+                    ),
+                },
+            ),
+            "metadata": st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+        },
+    ).map(lambda doc: json.dumps(doc).encode()),
+)
+_SERIES = st.one_of(
+    st.binary(max_size=48),
+    st.tuples(
+        st.lists(st.floats(-10, 10), min_size=1, max_size=12, unique=True),
+        st.lists(st.floats(), min_size=12, max_size=12),
+    ).map(
+        lambda tv: b"t,value\n"
+        + "".join(f"{t!r},{v!r}\n" for t, v in zip(sorted(tv[0]), tv[1])).encode()
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "fit", "forecast", "classify", "correlate", "plot"]),
+    document=_DOCUMENT,
+    series=_SERIES,
+    x=_VALUES,
+    y=_VALUES,
+    iterations=st.sampled_from(["-1", "0", "1", "20"]),
+)
+def test_main_exits_0_1_or_2(command, document, series, x, y, iterations):
+    """Generated files and argument values end in exit 0, 1 or 2, never a
+    traceback; exit 2 leaves main as argparse's SystemExit(2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        doc, data, out = (os.path.join(tmp, name) for name in ("m.doc", "d.csv", "out"))
+        with open(doc, "wb") as handle:
+            handle.write(document)
+        with open(data, "wb") as handle:
+            handle.write(series)
+        argv = {
+            "simulate": ["simulate", "--model", doc, "--T", x, "--h", y, "--out", out],
+            "fit": ["fit", "--data", data, "--out", out, "--max-iterations", iterations,
+                    "--gradient-tolerance", x, "--seed", doc],
+            "forecast": ["forecast", "--model", doc, "--from", "0", "--horizon", x,
+                         "--step", y, "--out", out],
+            "classify": ["classify", "--model", doc],
+            "correlate": ["correlate", "--x", data, "--y", data],
+            "plot": ["plot", "--data", data, "--model", doc, "--out", out],
+        }[command]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
 
 
 class TestRoundTrip:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import retroflux as rf
-from retroflux.dataio import format_number
+from retroflux.dataio import format_number, write_forecast_csv
 
 RNG_SEED = 20260809
 
@@ -50,6 +50,12 @@ class TestLoadCsv:
             with pytest.raises(rf.NonNumericFieldError):
                 rf.load_timeseries_csv(b"t,value\n0," + bad + b"\n")
 
+    def test_invalid_utf8_names_line(self):
+        with pytest.raises(rf.NonNumericFieldError, match="line 3: invalid UTF-8"):
+            rf.load_timeseries_csv(b"t,value\n0,1\n1,\xff\n")
+        with pytest.raises(rf.MalformedHeaderError, match="line 1: invalid UTF-8"):
+            rf.load_timeseries_csv(b"t,val\xffue\n0,1\n")
+
     def test_duplicate_time_rejected(self):
         with pytest.raises(rf.NonMonotonicTimeError):
             rf.load_timeseries_csv(b"t,value\n1,1\n1,2\n")
@@ -75,6 +81,14 @@ class TestWriteCsv:
             series = rf.TimeSeries(t, v)
             again = rf.load_timeseries_csv(rf.write_timeseries_csv(series))
             assert again == series
+
+    def test_forecast_csv_golden_bytes(self):
+        times = [1.0, 2.5, 3.0]
+        influence = rf.TimeSeries(times, [-0.0, -7.0, 1e16])
+        rate = rf.TimeSeries(times, [2.0, -0.0, 12345678901234567.0])
+        assert write_forecast_csv(influence, rate) == (
+            b"t,value,rate\n1,-0,2\n2.5,-7,-0\n3,1e+16,1.2345678901234568e+16\n"
+        )
 
     def test_format_number_shortest(self):
         assert format_number(1.0) == "1"
@@ -165,6 +179,24 @@ class TestModelDocument:
         text = '{"a": 1, "b": 0, "c": 1, "forcing": {"eta": [[0, 1, 2]]}}'
         with pytest.raises(rf.TypeMismatchError):
             rf.decode_model_document(text)
+
+    def test_decode_errors_are_named(self):
+        huge = "9" * 400
+        for text in (
+            '{"a": %s, "b": 0.1, "c": 1}' % huge,
+            '{"a": -%s, "b": 0.1, "c": 1}' % ("9" * 5000),
+            '{"a": 0.8, "b": 0.1, "c": 1, "forcing": {"eta": %s}}' % huge,
+            '{"a": 0.8, "b": 0.1, "c": 1, "forcing": {"eta": [[0, %s], [1, 2]]}}' % huge,
+            b'{"a": 0.8, "b": 0.1, "c": 1, "metadata": {"k": "\xff"}}',
+        ):
+            with pytest.raises(rf.TypeMismatchError):
+                rf.decode_model_document(text)
+
+    def test_repeated_field_rejected(self):
+        with pytest.raises(rf.TypeMismatchError, match="'a' appears more than once"):
+            rf.decode_model_document('{"a": 0.8, "a": 0.1, "b": 0.1, "c": 1}')
+        with pytest.raises(rf.TypeMismatchError, match="'k' appears more than once"):
+            rf.decode_model_document('{"a": 0, "b": 0, "c": 1, "metadata": {"k": "1", "k": "2"}}')
 
     def test_full_precision_numbers(self):
         value = 0.1234567890123456789

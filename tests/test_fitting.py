@@ -1,6 +1,7 @@
 """Finite differences, seeding, damped least squares, and forecasting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,3 +258,16 @@ class TestForecast:
             rf.forecast(params, 0.0, 1.0, 0.0)
         with pytest.raises(rf.SolutionOverflowError):
             rf.forecast(params, 0.0, 400.0, 200.0)
+
+    def test_point_count_capped_before_allocation(self):
+        params = rf.ModelParams(0.3, 0.1, 1.0)
+        with pytest.raises(rf.InvalidStepError, match="exceeds the limit"):
+            rf.forecast(params, 0.0, 1e308, 1e-308)  # horizon/step overflows to inf
+        tracemalloc.start()
+        try:
+            with pytest.raises(rf.InvalidStepError, match="exceeds the limit"):
+                rf.forecast(params, 0.0, 1e8, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

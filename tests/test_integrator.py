@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflux as rf
+from retroflux.integrator import _forcing_steps
 
 RNG_SEED = 20260809
 
@@ -154,6 +155,34 @@ class TestForcing:
     def test_tabulated_interpolates(self):
         eta = rf.TimeSeries([-1.0, 1.0], [0.0, 2.0])
         assert rf.eval_forcing(rf.ForcingSpec(eta=eta), 0.5) == pytest.approx(1.5)
+
+
+class TestForcingSteps:
+    """`_forcing_steps` skips the checks of the public eval_forcing, which
+    integrate has made once for the whole grid; its f_k must still equal,
+    bit for bit, the ones built from eval_forcing."""
+
+    @pytest.mark.parametrize("tabulated", [False, True])
+    def test_matches_public_eval_forcing(self, tabulated):
+        T, n, a, b = 5.0, 1000, 0.3, 0.8
+        if tabulated:
+            knots = np.linspace(-T, T, 101)
+            eta = rf.TimeSeries(knots, np.random.default_rng(RNG_SEED).normal(size=101))
+            forcing = rf.ForcingSpec(eta=eta)
+        else:
+            forcing = rf.ForcingSpec(theta=rf.GoodwillSpec(1.0, 0.25), eta=0.5)
+        grid = np.linspace(0.0, T, n + 1)
+        h = T / n
+        mid = 0.5 * (grid[:-1] + grid[1:])
+        gf = np.stack([rf.eval_forcing(forcing, grid), -rf.eval_forcing(forcing, -grid)])
+        gh = np.stack([rf.eval_forcing(forcing, mid), -rf.eval_forcing(forcing, -mid)])
+        hs = h * h * (a * a - b * b)
+        x = (h + h * hs / 4.0) * gf[:, :-1] + 2.0 * h * gh
+        f = (1.0 + hs / 2.0) * gf[:, :-1] + (4.0 + hs / 2.0) * gh + gf[:, 1:]
+        f[0] += a * x[0] + b * x[1]
+        f[1] -= b * x[0] + a * x[1]
+        f *= h / 6.0
+        assert np.array_equal(_forcing_steps(forcing, grid, h, a, b), f)
 
 
 class TestIntegrate:

@@ -1,6 +1,7 @@
 """SVG rendering: structure, determinism, and coordinate fidelity."""
 
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -186,3 +187,16 @@ class TestSweep:
         grid = [rf.ModelParams(5, 3, 2)]
         with pytest.raises(rf.SolutionOverflowError):
             rf.render_sweep(rf.ModelParams(5, 3, 2), "rate", grid, 400.0, 1.0)
+
+    def test_point_count_capped_before_allocation(self):
+        base = rf.ModelParams(0.3, 0.8, 1)
+        with pytest.raises(rf.InvalidStepError, match="exceeds the limit"):
+            rf.render_sweep(base, "rate", [base], 1e308, 1e-308)
+        tracemalloc.start()
+        try:
+            with pytest.raises(rf.InvalidStepError, match="exceeds the limit"):
+                rf.render_sweep(base, "rate", [base], 1e8, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
