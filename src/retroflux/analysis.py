@@ -8,7 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooFewAlignedPointsError, ZeroVarianceError
+from .errors import (
+    InvalidStepError,
+    SolutionOverflowError,
+    TooFewAlignedPointsError,
+    ZeroVarianceError,
+)
+from .integrator import MAX_STEPS
 from .model import (
     REGIME_TOL,
     ModelParams,
@@ -123,17 +129,25 @@ def correlate(x: TimeSeries, y: TimeSeries) -> CorrelationResult:
     xv = np.array([xk[k] for k in shared])
     yv = np.array([yk[k] for k in shared])
     n = len(shared)
-    xm, ym = xv.mean(), yv.mean()
-    dx, dy = xv - xm, yv - ym
-    var_x = float(dx @ dx)
-    if var_x == 0.0:
-        raise ZeroVarianceError("x is constant over the aligned pairs")
-    cov = float(dx @ dy)
-    var_y = float(dy @ dy)
-    slope = cov / var_x
-    intercept = float(ym - slope * xm)
-    # two roots: the product var_x * var_y can underflow to 0 for tiny values
-    pearson = cov / (math.sqrt(var_x) * math.sqrt(var_y)) if var_y > 0.0 else 0.0
+    with np.errstate(all="ignore"):
+        xm, ym = xv.mean(), yv.mean()
+        dx, dy = xv - xm, yv - ym
+        # deviations divided by their largest magnitude, so that no dot
+        # product overflows or underflows
+        sx, sy = float(np.abs(dx).max()), float(np.abs(dy).max())
+        if sx == 0.0:
+            raise ZeroVarianceError("x is constant over the aligned pairs")
+        dx /= sx
+        dy /= sy if sy > 0.0 else 1.0
+        var_x, var_y, cov = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+        slope = cov / var_x * (sy / sx)
+        intercept = float(ym - slope * xm)
+    pearson = cov / math.sqrt(var_x * var_y) if var_y > 0.0 else 0.0
+    if not all(map(math.isfinite, (slope, intercept, pearson))):
+        raise SolutionOverflowError(
+            f"correlation is not representable (slope={slope!r}, "
+            f"intercept={intercept!r}, pearson={pearson!r})"
+        )
     return CorrelationResult(slope=slope, intercept=intercept, pearson=pearson, n=n)
 
 
@@ -148,6 +162,9 @@ def yearly_summary(series: TimeSeries, window: float) -> list[SummaryRow]:
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"window must be positive, got {window!r}")
     t0 = float(series.times[0])
+    ratio = (float(series.times[-1]) - t0) / window
+    if ratio > MAX_STEPS:
+        raise InvalidStepError(f"span/window = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
     index = np.floor((series.times - t0) / window).astype(int)
     rows = []
     for k in sorted(set(index.tolist())):

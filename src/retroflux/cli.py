@@ -91,7 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--step-tolerance", type=float, default=_DEFAULTS.step_tolerance,
-        help=f"step-size stop (default {_DEFAULTS.step_tolerance})",
+        help="stop when the undamped Gauss-Newton step in s is below this, "
+        "relative to 1+|s|, or cuts the rss by less than this, relative "
+        f"(default {_DEFAULTS.step_tolerance})",
     )
     p.add_argument(
         "--initial-damping", type=float, default=_DEFAULTS.initial_damping,
@@ -218,7 +220,7 @@ def _cmd_plot(args) -> int:
     if args.model:
         document = _read_document(args.model)
         lo, hi = float(series.times[0]), float(series.times[-1])
-        grid = np.linspace(lo, hi, 201)
+        grid = np.linspace(lo, hi, 201 if hi > lo else 1)
         entries.append(PlotSeries(label="observed", data=series, style="scatter"))
         entries.append(
             PlotSeries(

@@ -104,6 +104,12 @@ def load_timeseries_csv(data: bytes | str) -> TimeSeries:
     if not lines or lines[0] != _HEADER:
         got = lines[0] if lines else ""
         raise MalformedHeaderError(f"expected header {_HEADER!r}, got {got!r}")
+    if not text.isascii():  # float() would accept non-ASCII digits
+        line_number = next(n for n, line in enumerate(lines, 1) if not line.isascii())
+        raise NonNumericFieldError(
+            f"line {line_number}: {lines[line_number - 1]!r} has a non-ASCII "
+            "character; fields must be plain decimals"
+        )
     times: list[float] = []
     values: list[float] = []
     for line_number, line in enumerate(lines[1:], start=2):

@@ -19,7 +19,7 @@ class NotExponentialError(RetrofluxError):
 
 
 class SolutionOverflowError(RetrofluxError, OverflowError):
-    """Exponential argument exceeds the representable double range."""
+    """A result (e.g. an exponential argument) exceeds the double range."""
 
 
 class AsymmetricDomainError(RetrofluxError):

@@ -2,14 +2,17 @@
 
 The pipeline mirrors how the model is meant to be used on observed influence
 series: estimate derivatives by finite differences, turn growth heuristics
-into a starting triple (a, b, c), then refine it by damped least squares.
+into starting parameters, then refine them by least squares.
 
-Internally the solver optimizes (m, d, c) with m = a + b and d = a - b.
-The solution depends on (a, b) only through m and s = m*d, so this
-parameterization removes the curvature pathology at a = +/-b and lets the
-iteration slide smoothly between growth regimes.  Observations on t >= 0
-identify (m, s, c); the (a, b) split follows from the model identity, except
-at m = 0 where the solution is constant and d is reported as 0.
+The solution p = c*V(s,t) + (a+b)*c*U(s,t) is linear in alpha = c and
+beta = (a+b)*c, so s = a^2 - b^2 is its only nonlinear parameter (variable
+projection; Golub & Pereyra 1973, Kaufman 1975).  At each trial s, linear
+least squares on the columns [V, U] gives (alpha, beta); a scalar
+Levenberg-Marquardt iteration on s follows Kaufman's projected Jacobian with
+the analytic kernel derivatives.  Values are fitted divided by max|v|, so any
+magnitude works.  The (a, b) split follows from m = a + b = beta/alpha and
+s = m*(a - b), except at m = 0, where the solution is constant and a - b is
+reported as 0.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .integrator import sample_grid
-from .model import ModelParams, _kernels, eval_solution, eval_solution_derivative
+from .model import ModelParams, _kernel_ds, _kernels, eval_solution, eval_solution_derivative
 from .series import TimeSeries
 
 __all__ = [
@@ -40,12 +43,13 @@ __all__ = [
 ]
 
 _MAX_DAMPING = 1e12
-_JACOBIAN_STEP = 1e-6
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Knobs of the damped least-squares iteration."""
+    """Knobs of the damped least-squares iteration on s.  step_tolerance bounds
+    the undamped Gauss-Newton step (relative to 1 + |s|) and its predicted rss
+    reduction (relative to the rss)."""
 
     max_iterations: int = 100
     gradient_tolerance: float = 1e-10
@@ -146,105 +150,74 @@ def seed_parameters(series: TimeSeries) -> ModelParams:
 
 
 def _from_mdc(m, d, c) -> ModelParams:
-    """(a, b, c) from the internal (m, d, c) = (a + b, a - b, c)."""
+    """(a, b, c) from (m, d, c) = (a + b, a - b, c)."""
     return ModelParams(a=float(0.5 * (m + d)), b=float(0.5 * (m - d)), c=float(c))
 
 
-def _predict(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Model values under the internal (m, d, c) parameterization."""
-    m, d, c = theta
-    V, U = _kernels(m * d, t)
-    return c * (V + m * U)
-
-
-def _jacobian(theta: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian d p(t_i) / d theta_j."""
-    J = np.empty((t.size, theta.size))
-    for j in range(theta.size):
-        step = _JACOBIAN_STEP * (1.0 + abs(theta[j]))
-        hi = theta.copy()
-        lo = theta.copy()
-        hi[j] += step
-        lo[j] -= step
-        J[:, j] = (_predict(hi, t) - _predict(lo, t)) / (2.0 * step)
-    return J
-
-
-def _rss(theta: np.ndarray, t: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
+def _profile(s: float, t: np.ndarray, w: np.ndarray):
+    """(alpha, beta, rss, g, A) at fixed s, or None if the kernels overflow or
+    are dependent.  (alpha, beta) fit w by alpha*V + beta*U in least squares;
+    g = J.r and A = J.J use Kaufman's projected Jacobian
+    J = (I - P)(alpha*t*U/2 + beta*dU/ds), P the projection onto span[V, U]."""
     try:
-        r = v - _predict(theta, t)
+        V, U = _kernels(s, t)
     except SolutionOverflowError:
-        return np.full_like(v, np.inf), math.inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        rss = float(r @ r)
-    return r, rss if math.isfinite(rss) else math.inf
+        return None
+    with np.errstate(all="ignore"):
+        # columns divided by their max first, so no square overflows
+        col_max = np.array([np.abs(V).max(), np.abs(U).max()])
+        Q, R = np.linalg.qr(np.column_stack((V, U)) / col_max)
+        k = Q.T @ w
+        try:
+            alpha, beta = np.linalg.solve(R, k) / col_max
+        except np.linalg.LinAlgError:
+            return None
+        r = w - Q @ k
+        J = alpha * t * U / 2.0 + beta * _kernel_ds(s, t, V, U)
+        J -= Q @ (Q.T @ J)
+        out = float(alpha), float(beta), float(r @ r), float(J @ r), float(J @ J)
+    return out if all(map(math.isfinite, out[:3])) else None
 
 
-def _minimize(
-    theta: np.ndarray,
-    t: np.ndarray,
-    v: np.ndarray,
-    options: FitOptions,
-) -> tuple[np.ndarray, float, int, bool, list[float]]:
-    """Damped least squares on (m, d, c); never accepts an rss increase.
-
-    Steps are projected onto the admissible half-space c >= 0, so the
-    returned triple always maps to a valid parameter set.
-    """
-    r, rss = _rss(theta, t, v)
-    if not math.isfinite(rss):
+def _minimize(s: float, t: np.ndarray, w: np.ndarray, options: FitOptions):
+    """Scalar Levenberg-Marquardt on s over the profile; never accepts an
+    rss increase.  The stopping tests use the undamped Gauss-Newton step
+    g/A, so a heavily damped step cannot end the iteration."""
+    current = _profile(s, t, w)
+    if current is None:
         raise SingularNormalEquationsError("seed parameters overflow the model")
     lam = options.initial_damping
-    history = [rss]
-    converged = False
-    iterations = 0
-    identity = np.eye(theta.size)
+    history = [current[2]]
+    converged, iterations = False, 0
     for iterations in range(1, options.max_iterations + 1):
-        try:
-            J = _jacobian(theta, t)
-        except SolutionOverflowError:
-            J = None
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = J.T @ r if J is not None else None
-            A = J.T @ J if J is not None else None
-        if A is None or not (np.all(np.isfinite(g)) and np.all(np.isfinite(A))):
+        _, _, rss, g, A = current
+        if not (math.isfinite(g) and math.isfinite(A)):
             raise SingularNormalEquationsError(
                 "model is not linearizable at the current iterate "
                 "(Jacobian overflow)"
             )
-        if np.max(np.abs(g)) <= options.gradient_tolerance * (1.0 + rss):
+        if (
+            abs(g) <= options.gradient_tolerance * (1.0 + rss)
+            or abs(g) <= options.step_tolerance * (1.0 + abs(s)) * A
+            or g * g <= options.step_tolerance * rss * A
+        ):
             converged = True
             break
-        accepted = False
         while lam <= _MAX_DAMPING:
-            try:
-                step = np.linalg.solve(A + lam * identity, g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            if trial[2] < 0.0:
-                trial[2] = 0.0
-            delta = trial - theta
-            r_trial, rss_trial = _rss(trial, t, v)
-            if rss_trial <= rss:
-                theta, r, rss = trial, r_trial, rss_trial
-                history.append(rss)
+            trial = s + g / (A * (1.0 + lam))
+            candidate = _profile(trial, t, w)
+            if candidate is not None and candidate[2] <= rss:
+                s, current = trial, candidate
+                history.append(candidate[2])
                 lam = max(lam * 0.1, 1e-14)
-                accepted = True
                 break
             lam *= 10.0
-        if not accepted:
+        else:
             raise SingularNormalEquationsError(
                 f"damping exhausted at lambda={lam:.3g} after {iterations} "
                 f"iterations (rss={rss:.6g})"
             )
-        if np.linalg.norm(delta) <= options.step_tolerance * (
-            1.0 + np.linalg.norm(theta)
-        ):
-            converged = True
-            break
-    return theta, rss, iterations, converged, history
+    return s, current, iterations, converged, history
 
 
 def fit(
@@ -252,13 +225,15 @@ def fit(
     seed: ModelParams | None = None,
     options: FitOptions | None = None,
 ) -> FitResult:
-    """Fit (a, b, c) to an observed influence series by damped least squares.
+    """Fit (a, b, c) to an observed influence series by least squares.
 
     With seed=None the heuristic seed_parameters starter is used; when its
     basin misses the optimum (oscillatory data seeded on the wrong side of
     s = 0 can do this) the fit deterministically retries from mirrored and
-    canonical starting points and keeps the lowest-rss outcome.  The best
-    parameters found are returned even when converged is False.
+    canonical starting points and keeps the lowest-rss outcome.  Only
+    s = a^2 - b^2 of a start enters the iteration.  The best parameters
+    found are returned even when converged is False; a best fit that needs
+    c < 0 is reported with c = 0 and converged False.
     """
     if len(series) < 4:
         raise TooFewPointsError(
@@ -268,54 +243,59 @@ def fit(
     seed_given = seed is not None
     seed = seed if seed_given else seed_parameters(series)
 
-    t = series.times
-    v = series.values
+    t, v = series.times, series.values
+    scale = float(np.abs(v).max()) or 1.0
+    w = v / scale
 
-    def as_theta(p: ModelParams) -> np.ndarray:
-        return np.array([p.a + p.b, p.a - p.b, p.c], dtype=float)
-
-    starts: list[tuple[np.ndarray, ModelParams]] = [(as_theta(seed), seed)]
+    starts = [seed]
     if not seed_given:
         # mirrored-s and mild canonical starters; tried only while the fit
         # quality stays poor, so round trips from a good seed cost nothing
-        m0, d0, c0 = starts[0][0]
-        for theta0 in (
-            np.array([m0, -d0 if d0 != 0.0 else -1.0, c0]),
-            np.array([m0, 0.0, c0]),
-            np.array([0.5, -0.5, c0]),
-        ):
-            starts.append((theta0, _from_mdc(*theta0)))
+        m0, d0, c0 = seed.a + seed.b, seed.a - seed.b, seed.c
+        starts += [
+            _from_mdc(m0, -d0 if d0 != 0.0 else -1.0, c0),
+            _from_mdc(m0, 0.0, c0),
+            _from_mdc(0.5, -0.5, c0),
+        ]
+        # last, s from p'' = s*p on second differences, for oscillations
+        # outside the basins of the starts above
+        with np.errstate(all="ignore"):
+            p2 = 2.0 * np.diff(np.diff(w) / np.diff(t)) / (t[2:] - t[:-2])
+            s2 = float(p2 @ w[1:-1] / (w[1:-1] @ w[1:-1]))
+        starts += [_from_mdc(1.0, s2, c0)] if math.isfinite(s2) else []
 
-    spread = float(np.sum((v - v.mean()) ** 2))
-    good_enough = 1e-6 * (spread + 1.0)
+    # rss <= 1e-6 * (spread + 1) in the data's units, written for w = v/scale
+    good_enough = 1e-6 * (float(np.sum((w - w.mean()) ** 2)) + 1.0 / scale / scale)
 
     best = None
-    for position, (theta0, start_params) in enumerate(starts):
+    for position, start in enumerate(starts):
         try:
-            theta, rss, iterations, converged, history = _minimize(
-                theta0.copy(), t, v, options
-            )
+            outcome = _minimize((start.a + start.b) * (start.a - start.b), t, w, options)
         except SingularNormalEquationsError:
             if best is None and position == len(starts) - 1:
                 raise
             continue
-        candidate = (theta, rss, iterations, converged, history, start_params)
-        if best is None or rss < best[1]:
-            best = candidate
-        if best[1] <= good_enough:
+        # a start that needs c < 0 is reported at c = 0, whose rss is w.w
+        c, _, rss, _, _ = outcome[1]
+        rss = rss if c >= 0.0 else float(w @ w)
+        if best is None or rss < best[0]:
+            best = (rss, outcome, start)
+        if best[0] <= good_enough:
             break
-    if best is None:
-        raise SingularNormalEquationsError("no starting point produced a usable fit")
 
-    theta, rss, iterations, converged, history, seed_used = best
-    m, d, c = (float(x) for x in theta)
+    _, (s, (c, beta, *_), iterations, converged, history), seed_used = best
+    m = beta / c if c else 0.0
     message = ""
+    if c < 0.0:
+        converged, message = False, "the best fit needs c < 0: reported c = 0"
     if abs(m) < 1e-12:
-        # constant-solution degenerate case: s = m*d carries no signal, so
-        # the (a, b) split is undetermined; report the symmetric one
-        d = 0.0
-        message = "a+b ~ 0: constant solution, a-b undetermined (reported 0)"
-    fitted = _from_mdc(m, d, c)
+        # constant-solution degenerate case: s carries no signal, so the
+        # (a, b) split is undetermined; report the symmetric one
+        m = d = 0.0
+        message = message or "a+b ~ 0: constant solution, a-b undetermined (reported 0)"
+    else:
+        d = s / m
+    fitted = _from_mdc(m, d, c * scale if c > 0.0 else 0.0)  # never -0.0
     final_rss = float(np.sum((v - eval_solution(fitted, t)) ** 2))
     return FitResult(
         params=fitted,
@@ -324,7 +304,7 @@ def fit(
         converged=converged,
         seed=seed_used,
         message=message,
-        rss_history=tuple(history),
+        rss_history=tuple(h * scale * scale for h in history),
     )
 
 

@@ -183,6 +183,20 @@ def _kernels(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return V, U
 
 
+def _kernel_ds(s: float, t: np.ndarray, V: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """dU/ds = (t*V - U)/(2s) from (V, U) = _kernels(s, t); dV/ds is t*U/2.
+    Where |s*t^2| < 1e-2, a five-term series in x = s*t^2 avoids the
+    cancellation and the 0/0 at s = 0."""
+    x = s * t * t
+    small = np.abs(x) < 1e-2
+    dU = np.empty_like(t)
+    xs, ts = x[small], t[small]
+    series = 1 / 6 + xs * (1 / 60 + xs * (1 / 1680 + xs * (1 / 90720 + xs / 7983360)))
+    dU[small] = ts**3 * series
+    dU[~small] = (t[~small] * V[~small] - U[~small]) / (2.0 * s)
+    return dU
+
+
 def _as_time_array(t) -> tuple[np.ndarray, bool]:
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):

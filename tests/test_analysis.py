@@ -121,6 +121,20 @@ class TestCorrelate:
         x = rf.TimeSeries([0.0, 0.5, 1.0], [0.0, 0.0, 1.8136255334926433e-115])
         assert rf.correlate(x, x).pearson == pytest.approx(1.0)
 
+    def test_huge_values_do_not_overflow(self):
+        # dx @ dx overflows here unless the deviations are scaled first
+        x = rf.TimeSeries([0.0, 1.0, 2.0], [1e200, -1e200, 3e200])
+        result = rf.correlate(x, x)
+        assert result.slope == pytest.approx(1.0)
+        assert result.intercept == pytest.approx(0.0, abs=1e-12)
+        assert result.pearson == pytest.approx(1.0)
+
+    def test_unrepresentable_slope_is_named_error(self):
+        x = rf.TimeSeries([0.0, 1.0, 2.0], [0.0, 1e-300, 2e-300])
+        y = rf.TimeSeries([0.0, 1.0, 2.0], [0.0, 1e300, 2e300])
+        with pytest.raises(rf.SolutionOverflowError):
+            rf.correlate(x, y)
+
     def test_constant_x_rejected(self):
         x = rf.TimeSeries([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
         y = rf.TimeSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
@@ -213,6 +227,11 @@ class TestYearlySummary:
         series = rf.TimeSeries([0.0, 1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             rf.yearly_summary(series, 0.0)
+
+    def test_window_count_capped_before_the_cast(self):
+        series = rf.TimeSeries([0.0, 1.0, 2.0], [1.0, 2.0, 3.0])
+        with pytest.raises(rf.InvalidStepError, match="exceeds the limit"):
+            rf.yearly_summary(series, 1e-300)
 
     def test_empty_series_unconstructible(self):
         with pytest.raises(ValueError):

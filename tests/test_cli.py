@@ -309,6 +309,20 @@ class TestPlot:
         assert len(scatter) == 1  # observed points
 
 
+    def test_model_overlay_on_one_row(self, tmp_path):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"t,value\n2,4\n")
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.8, 0.3, 1.0)
+        out = tmp_path / "fig.svg"
+        assert main(["plot", "--data", str(data), "--model", str(doc),
+                     "--out", str(out)]) == 0
+        ns = "{http://www.w3.org/2000/svg}"
+        root = ET.fromstring(out.read_text())
+        points = root.find(f"{ns}polyline").get("points").split()
+        assert len(points) == 1  # a one-point model curve at t = 2
+
+
 class TestFitMetadata:
     def test_report_and_metadata(self, tmp_path, capsys):
         doc = tmp_path / "m.doc"

@@ -56,6 +56,11 @@ class TestLoadCsv:
         with pytest.raises(rf.MalformedHeaderError, match="line 1: invalid UTF-8"):
             rf.load_timeseries_csv(b"t,val\xffue\n0,1\n")
 
+    def test_non_ascii_digits_name_line(self):
+        data = "t,value\n0,1\n\u0661,\u0662\n".encode("utf-8")  # Arabic-Indic 1, 2
+        with pytest.raises(rf.NonNumericFieldError, match="line 3: .*non-ASCII"):
+            rf.load_timeseries_csv(data)
+
     def test_duplicate_time_rejected(self):
         with pytest.raises(rf.NonMonotonicTimeError):
             rf.load_timeseries_csv(b"t,value\n1,1\n1,2\n")

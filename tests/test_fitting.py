@@ -7,8 +7,101 @@ import numpy as np
 import pytest
 
 import retroflux as rf
+from retroflux.model import _kernels
 
 RNG_SEED = 20260809
+
+
+def _reference_fit(series):
+    """The original fitter, kept as an oracle for the variable-projection fit.
+
+    Damped least squares on (m, d, c) = (a+b, a-b, c) with a central-difference
+    Jacobian, c >= 0 step projection and a damped-step stop, from the same
+    four starts and with the same early exit.  Returns the rss of the best
+    fit, recomputed through eval_solution (inf when every start fails).
+    """
+    t, v = series.times, series.values
+
+    def residual(theta):
+        m, d, c = theta
+        try:
+            V, U = _kernels(m * d, t)
+        except rf.SolutionOverflowError:
+            return None, math.inf
+        r = v - c * (V + m * U)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rss = float(r @ r)
+        return r, rss if math.isfinite(rss) else math.inf
+
+    def jacobian(theta):
+        J = np.empty((t.size, 3))
+        for j in range(3):
+            step = 1e-6 * (1.0 + abs(theta[j]))
+            hi, lo = theta.copy(), theta.copy()
+            hi[j] += step
+            lo[j] -= step
+            m, d, c = hi
+            V, U = _kernels(m * d, t)
+            J[:, j] = c * (V + m * U)
+            m, d, c = lo
+            V, U = _kernels(m * d, t)
+            J[:, j] = (J[:, j] - c * (V + m * U)) / (2.0 * step)
+        return J
+
+    def minimize(theta):
+        r, rss = residual(theta)
+        if not math.isfinite(rss):
+            return None
+        lam = 1e-3
+        for _ in range(100):
+            try:
+                J = jacobian(theta)
+            except rf.SolutionOverflowError:
+                return None
+            with np.errstate(over="ignore", invalid="ignore"):
+                g, A = J.T @ r, J.T @ J
+            if not (np.all(np.isfinite(g)) and np.all(np.isfinite(A))):
+                return None
+            if np.max(np.abs(g)) <= 1e-10 * (1.0 + rss):
+                break
+            while lam <= 1e12:
+                try:
+                    step = np.linalg.solve(A + lam * np.eye(3), g)
+                except np.linalg.LinAlgError:
+                    lam *= 10.0
+                    continue
+                trial = theta + step
+                trial[2] = max(trial[2], 0.0)
+                delta = trial - theta
+                r_trial, rss_trial = residual(trial)
+                if rss_trial <= rss:
+                    theta, r, rss = trial, r_trial, rss_trial
+                    lam = max(lam * 0.1, 1e-14)
+                    break
+                lam *= 10.0
+            else:
+                return None
+            if np.linalg.norm(delta) <= 1e-12 * (1.0 + np.linalg.norm(theta)):
+                break
+        return theta, rss
+
+    seed = rf.seed_parameters(series)
+    m0, d0, c0 = seed.a + seed.b, seed.a - seed.b, seed.c
+    starts = [(m0, d0), (m0, -d0 if d0 != 0.0 else -1.0), (m0, 0.0), (0.5, -0.5)]
+    good_enough = 1e-6 * (float(np.sum((v - v.mean()) ** 2)) + 1.0)
+    best = None
+    for m, d in starts:
+        outcome = minimize(np.array([m, d, c0]))
+        if outcome is not None and (best is None or outcome[1] < best[1]):
+            best = outcome
+        if best is not None and best[1] <= good_enough:
+            break
+    if best is None:
+        return math.inf
+    m, d, c = best[0]
+    d = 0.0 if abs(m) < 1e-12 else d
+    fitted = rf.ModelParams(0.5 * (m + d), 0.5 * (m - d), c)
+    return float(np.sum((v - rf.eval_solution(fitted, t)) ** 2))
 
 
 def sampled(params, lo, hi, n):
@@ -197,12 +290,14 @@ class TestFit:
 
     def test_scale_equivariance(self):
         base = sampled(rf.ModelParams(0.8, 0.3, 1.0), 0, 5, 51)
-        lam = 37.5
-        scaled = rf.TimeSeries(base.times, base.values * lam)
-        r1, r2 = rf.fit(base), rf.fit(scaled)
-        assert r2.params.a == pytest.approx(r1.params.a, abs=1e-6)
-        assert r2.params.b == pytest.approx(r1.params.b, abs=1e-6)
-        assert r2.params.c == pytest.approx(lam * r1.params.c, rel=1e-6)
+        for lam in (37.5, 1e-200, 1e150):
+            scaled = rf.TimeSeries(base.times, base.values * lam)
+            r1, r2 = rf.fit(base), rf.fit(scaled)
+            assert r2.params.a == pytest.approx(r1.params.a, abs=1e-6)
+            assert r2.params.b == pytest.approx(r1.params.b, abs=1e-6)
+            assert r2.params.c == pytest.approx(lam * r1.params.c, rel=1e-6)
+            assert r2.params.c / lam == pytest.approx(r1.params.c, rel=1e-6)
+            assert r2.converged
 
     def test_constant_data_degenerate_split(self):
         result = rf.fit(rf.TimeSeries(np.arange(8.0), np.full(8, 3.0)))
@@ -210,6 +305,58 @@ class TestFit:
         assert result.params.a == result.params.b == 0.0
         assert result.params.c == pytest.approx(3.0)
         assert "undetermined" in result.message
+
+    def test_clean_fit_does_not_stop_on_a_damped_step(self):
+        # a damped-step stop used to report converged=True here at rss 346
+        truth = rf.ModelParams(
+            -0.4855426750291829, 1.4195930651525708, 3.8022396610601685
+        )
+        series = sampled(truth, 0, 5, 51)
+        result = rf.fit(series)
+        assert result.converged
+        assert result.rss <= 1e-16 * float(series.values @ series.values)
+        for name in ("a", "b", "c"):
+            assert getattr(result.params, name) == pytest.approx(
+                getattr(truth, name), rel=1e-6
+            )
+
+    def test_all_zero_data_with_explicit_seed(self):
+        series = rf.TimeSeries(np.arange(6.0), np.zeros(6))
+        result = rf.fit(series, seed=rf.ModelParams(0.8, 0.3, 1.0))
+        assert result.converged
+        assert result.params.c == 0.0
+        assert math.copysign(1.0, result.params.c) == 1.0
+        assert result.rss == 0.0
+
+    def test_fit_needing_negative_c_reports_zero_c_unconverged(self):
+        series = sampled(rf.ModelParams(0.8, 0.3, 1.0), 0, 5, 51)
+        result = rf.fit(rf.TimeSeries(series.times, -series.values))
+        assert not result.converged
+        assert result.params.c == 0.0
+        assert "c < 0" in result.message
+
+    def test_no_worse_than_reference_fitter(self):
+        # fit_batch-style inputs: 3 regimes x {51, 401} points x {clean,
+        # sigma = 0.05}, twice
+        rng = np.random.default_rng(RNG_SEED + 4)
+        for _ in range(2):
+            for regime in ("exponential", "oscillatory", "near_linear"):
+                if regime == "exponential":
+                    a, b = rng.uniform(0.6, 1.0), rng.uniform(0.1, 0.4)
+                elif regime == "oscillatory":
+                    a, b = rng.uniform(0.2, 0.4), rng.uniform(0.7, 0.9)
+                else:
+                    a = rng.uniform(0.3, 0.7)
+                    b = a * (1.0 + rng.uniform(-1e-6, 1e-6))
+                truth = rf.ModelParams(a, b, rng.uniform(0.5, 2.0))
+                for n in (51, 401):
+                    clean = sampled(truth, 0, 5, n)
+                    for sigma in (0.0, 0.05):
+                        v = clean.values + rng.normal(0.0, sigma, n)
+                        series = rf.TimeSeries(clean.times, v)
+                        result = rf.fit(series)
+                        limit = _reference_fit(series) * (1 + 1e-9)
+                        assert result.rss <= limit + 1e-12 * (1 + v @ v)
 
     def test_options_validation(self):
         with pytest.raises(ValueError):

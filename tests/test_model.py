@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import retroflux as rf
+from retroflux.model import _kernel_ds, _kernels
 
 RNG_SEED = 20260809
 
@@ -163,6 +164,22 @@ class TestEvalSolution:
     def test_rejects_non_finite_time(self):
         with pytest.raises(ValueError):
             rf.eval_solution(rf.ModelParams(1, 0, 1), math.nan)
+
+
+class TestKernelDerivative:
+    def test_matches_central_differences(self):
+        # both sides of the series switch at |s*t^2| = 1e-2 (s = 4e-4, t = 5)
+        t = np.linspace(-5.0, 5.0, 201)
+        h = 3e-3
+        for s in (-2.0, -1e-3, 0.0, 3.9e-4, 4.1e-4, 0.5, 2.0):
+            V, U = _kernels(s, t)
+            dU = _kernel_ds(s, t, V, U)
+
+            def u(step):
+                return _kernels(s + step, t)[1]
+
+            numeric = (u(-2 * h) - 8 * u(-h) + 8 * u(h) - u(2 * h)) / (12 * h)
+            np.testing.assert_allclose(dU, numeric, rtol=1e-8, atol=0.0)
 
 
 class TestProperties:
