@@ -108,26 +108,34 @@ def correlate(x: TimeSeries, y: TimeSeries) -> CorrelationResult:
     """Least-squares line and Pearson coefficient over time-aligned pairs.
 
     Pairs are matched on exact time keys after rounding both series' times
-    to 1e-9; no interpolation is performed.  Raises ZeroVarianceError when
-    the aligned x values are constant.  If the y values are constant the
+    to 1e-9; no interpolation is performed.  Raises SolutionOverflowError
+    when a time is too large for that grid and ZeroVarianceError when the
+    aligned x values are constant.  If the y values are constant the
     slope is 0 and pearson is reported as 0.0 (the coefficient is undefined
     there).
     """
-    def keys(series: TimeSeries) -> dict[int, float]:
-        return {
-            int(round(t / _ALIGN_QUANTUM)): v
-            for t, v in zip(series.times.tolist(), series.values.tolist())
-        }
+    def keys(series: TimeSeries) -> tuple[np.ndarray, np.ndarray]:
+        with np.errstate(over="ignore"):
+            grid = np.rint(series.times / _ALIGN_QUANTUM)
+        beyond = ~np.isfinite(grid)
+        if beyond.any():
+            t = float(series.times[beyond.argmax()])
+            raise SolutionOverflowError(
+                f"time {t!r} overflows the {_ALIGN_QUANTUM!r} alignment grid"
+            )
+        # times increase, so repeated keys are adjacent; the last one wins
+        last = np.append(grid[1:] != grid[:-1], True)
+        return grid[last], series.values[last]
 
-    xk = keys(x)
-    yk = keys(y)
-    shared = sorted(set(xk) & set(yk))
+    xk, xvalues = keys(x)
+    yk, yvalues = keys(y)
+    shared, xi, yi = np.intersect1d(xk, yk, assume_unique=True, return_indices=True)
     if len(shared) < 2:
         raise TooFewAlignedPointsError(
             f"need at least 2 aligned time points, got {len(shared)}"
         )
-    xv = np.array([xk[k] for k in shared])
-    yv = np.array([yk[k] for k in shared])
+    xv = xvalues[xi]
+    yv = yvalues[yi]
     n = len(shared)
     with np.errstate(all="ignore"):
         xm, ym = xv.mean(), yv.mean()
@@ -166,18 +174,19 @@ def yearly_summary(series: TimeSeries, window: float) -> list[SummaryRow]:
     if ratio > MAX_STEPS:
         raise InvalidStepError(f"span/window = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
     index = np.floor((series.times - t0) / window).astype(int)
+    # times increase, so each window is one contiguous run of the index
+    cuts = (np.flatnonzero(np.diff(index)) + 1).tolist()
     rows = []
-    for k in sorted(set(index.tolist())):
-        inside = index == k
-        tw = series.times[inside]
-        vw = series.values[inside]
+    for lo, hi in zip([0, *cuts], [*cuts, index.size]):
+        tw = series.times[lo:hi]
+        vw = series.values[lo:hi]
         mean = float(vw.mean())
         stddev = float(vw.std())
         spread = np.abs(vw - mean)
         flagged = spread > 2.0 * stddev
         rows.append(
             SummaryRow(
-                window_start=t0 + k * window,
+                window_start=t0 + int(index[lo]) * window,
                 mean=mean,
                 stddev=stddev,
                 outliers=tuple(zip(tw[flagged].tolist(), vw[flagged].tolist())),

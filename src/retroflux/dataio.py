@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _HEADER = "t,value"
+# the bytes of a body that _load_plain parses in one pass
+_PLAIN_BYTES = b"0123456789+-.eE,\n"
+_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,45 @@ def _parse_field(token: str, line_number: int, column: str) -> float:
     return value
 
 
+def _load_plain(text: str) -> TimeSeries | None:
+    """Parse the CSV in one vectorised pass, or return None to parse per line.
+
+    Only a body of ``_PLAIN_BYTES`` whose commas and newlines alternate (two
+    fields a record, no blank lines) is parsed here.  Over those bytes
+    float() accepts no whitespace, ``_``, inf or nan, so each value is the
+    one the per-line parser returns; any other failure returns None.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if not (text.startswith(_HEADER + "\n") and text.isascii()):
+        return None
+    body = text[len(_HEADER) + 1 :].encode("ascii")
+    if body.endswith(b"\n"):
+        body = body[:-1]
+    if body.translate(None, _PLAIN_BYTES):
+        return None
+    raw = np.frombuffer(body, dtype=np.uint8)
+    separators = raw[(raw == _COMMA) | (raw == _NEWLINE)]
+    if (
+        separators.size % 2 == 0
+        or (separators[0::2] != _COMMA).any()
+        or (separators[1::2] != _NEWLINE).any()
+    ):
+        return None
+    try:
+        fields = np.fromiter(
+            map(float, body.replace(b"\n", b",").split(b",")),
+            dtype=float,
+            count=separators.size + 1,
+        )
+    except ValueError:
+        return None
+    times, values = fields[0::2], fields[1::2]
+    if not (np.isfinite(fields).all() and (times[1:] > times[:-1]).all()):
+        return None
+    return TimeSeries(times, values)
+
+
 def load_timeseries_csv(data: bytes | str) -> TimeSeries:
     """Parse a `t,value` CSV byte stream into a TimeSeries."""
     try:
@@ -97,10 +139,15 @@ def load_timeseries_csv(data: bytes | str) -> TimeSeries:
         line_number = data.count(b"\n", 0, exc.start) + 1
         error = MalformedHeaderError if line_number == 1 else NonNumericFieldError
         raise error(f"line {line_number}: invalid UTF-8 ({exc.reason})") from None
+    series = _load_plain(text)
+    if series is not None:
+        return series
+    # the per-line parser is the only error locator: its first bad line wins
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if "\r" in text:
+        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     if not lines or lines[0] != _HEADER:
         got = lines[0] if lines else ""
         raise MalformedHeaderError(f"expected header {_HEADER!r}, got {got!r}")
@@ -133,8 +180,20 @@ def load_timeseries_csv(data: bytes | str) -> TimeSeries:
     return TimeSeries(np.array(times), np.array(values))
 
 
+def _render_column(column: np.ndarray) -> list[str]:
+    """format_number of every entry: repr, patched where format_number
+    drops the ``.0`` of an integral value (zeros included)."""
+    values = column.tolist()
+    text = list(map(repr, values))
+    # beyond 1e16 (all integral) format_number is repr
+    integral = (column == np.trunc(column)) & (np.abs(column) < 1e16)
+    for i in np.flatnonzero(integral).tolist():
+        text[i] = format_number(values[i])
+    return text
+
+
 def _emit_csv(header: str, *columns: np.ndarray) -> bytes:
-    fields = [map(format_number, column.tolist()) for column in columns]
+    fields = map(_render_column, columns)
     return "\n".join([header, *map(",".join, zip(*fields)), ""]).encode("utf-8")
 
 

@@ -15,7 +15,12 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import EmptyGridError, EmptySeriesError, NotExponentialError
+from .errors import (
+    EmptyGridError,
+    EmptySeriesError,
+    NotExponentialError,
+    SolutionOverflowError,
+)
 from .integrator import Trajectory, sample_grid
 from .model import ModelParams, discriminant, eval_solution, solution_coefficients
 from .series import TimeSeries
@@ -90,7 +95,11 @@ def _padded(lo: float, hi: float) -> tuple[float, float]:
 
 
 def render_lineplot(spec: PlotSpec) -> str:
-    """Render the spec to a standalone SVG 1.1 document (UTF-8 text)."""
+    """Render the spec to a standalone SVG 1.1 document (UTF-8 text).
+
+    Raises SolutionOverflowError when the padded data bounds or their pixel
+    coordinates are not finite doubles.
+    """
     if not spec.series:
         raise EmptySeriesError("plot spec contains no series")
     data = [_xy(entry.data) for entry in spec.series]
@@ -104,11 +113,19 @@ def render_lineplot(spec: PlotSpec) -> str:
     left, right = _MARGIN_LEFT, spec.width - _MARGIN_RIGHT
     top, bottom = _MARGIN_TOP, spec.height - _MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    def px(x):
         return left + (x - x_lo) * (right - left) / (x_hi - x_lo)
 
-    def py(y: float) -> float:
+    def py(y):
         return bottom - (y - y_lo) * (bottom - top) / (y_hi - y_lo)
+
+    # px and py are monotone, so every data and tick pixel lies between
+    # those of the padded bounds: px(x_lo) = left, py(y_lo) = bottom
+    if not all(map(math.isfinite, (x_lo, x_hi, y_lo, y_hi, px(x_hi), py(y_hi)))):
+        raise SolutionOverflowError(
+            f"plot bounds x [{x_lo!r}, {x_hi!r}], y [{y_lo!r}, {y_hi!r}] "
+            "do not map to finite pixels"
+        )
 
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -164,16 +181,13 @@ def render_lineplot(spec: PlotSpec) -> str:
 
     for index, (entry, (t, v)) in enumerate(zip(spec.series, data)):
         color = _PALETTE[index % len(_PALETTE)]
+        xs, ys = px(t).tolist(), py(v).tolist()
         if entry.style == "scatter":
-            dots = "".join(
-                f'<circle cx="{px(ti):.2f}" cy="{py(vi):.2f}" r="2.5"/>'
-                for ti, vi in zip(t.tolist(), v.tolist())
-            )
+            circle = '<circle cx="{:.2f}" cy="{:.2f}" r="2.5"/>'.format
+            dots = "".join(map(circle, xs, ys))
             out.append(f'<g class="series" fill="{color}">{dots}</g>')
         else:
-            points = " ".join(
-                f"{px(ti):.2f},{py(vi):.2f}" for ti, vi in zip(t.tolist(), v.tolist())
-            )
+            points = " ".join(map("{:.2f},{:.2f}".format, xs, ys))
             out.append(
                 f'<polyline class="series" fill="none" stroke="{color}" '
                 f'stroke-width="1.5" points="{points}"/>'

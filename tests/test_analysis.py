@@ -10,6 +10,68 @@ import retroflux as rf
 RNG_SEED = 20260809
 
 
+def _reference_correlate(x, y):
+    """correlate as it was before array alignment: dict keys, last value wins."""
+    def keys(series):
+        return {
+            int(round(t / 1e-9)): v
+            for t, v in zip(series.times.tolist(), series.values.tolist())
+        }
+
+    xk, yk = keys(x), keys(y)
+    shared = sorted(set(xk) & set(yk))
+    if len(shared) < 2:
+        raise rf.TooFewAlignedPointsError(
+            f"need at least 2 aligned time points, got {len(shared)}"
+        )
+    xv = np.array([xk[k] for k in shared])
+    yv = np.array([yk[k] for k in shared])
+    with np.errstate(all="ignore"):
+        xm, ym = xv.mean(), yv.mean()
+        dx, dy = xv - xm, yv - ym
+        sx, sy = float(np.abs(dx).max()), float(np.abs(dy).max())
+        if sx == 0.0:
+            raise rf.ZeroVarianceError("x is constant over the aligned pairs")
+        dx /= sx
+        dy /= sy if sy > 0.0 else 1.0
+        var_x, var_y, cov = float(dx @ dx), float(dy @ dy), float(dx @ dy)
+        slope = cov / var_x * (sy / sx)
+        intercept = float(ym - slope * xm)
+    pearson = cov / math.sqrt(var_x * var_y) if var_y > 0.0 else 0.0
+    if not all(map(math.isfinite, (slope, intercept, pearson))):
+        raise rf.SolutionOverflowError(
+            f"correlation is not representable (slope={slope!r}, "
+            f"intercept={intercept!r}, pearson={pearson!r})"
+        )
+    return rf.CorrelationResult(slope=slope, intercept=intercept, pearson=pearson, n=len(shared))
+
+
+def _reference_summary(series, window):
+    """yearly_summary as it was before contiguous windows: one mask per window."""
+    t0 = float(series.times[0])
+    index = np.floor((series.times - t0) / window).astype(int)
+    rows = []
+    for k in sorted(set(index.tolist())):
+        inside = index == k
+        tw, vw = series.times[inside], series.values[inside]
+        mean, stddev = float(vw.mean()), float(vw.std())
+        flagged = np.abs(vw - mean) > 2.0 * stddev
+        rows.append(rf.SummaryRow(
+            window_start=t0 + k * window,
+            mean=mean,
+            stddev=stddev,
+            outliers=tuple(zip(tw[flagged].tolist(), vw[flagged].tolist())),
+        ))
+    return rows
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))  # repr tells -0.0 from 0.0 and keeps every bit
+    except rf.RetrofluxError as exc:
+        return type(exc), str(exc)
+
+
 class TestClassify:
     def test_cases(self):
         assert rf.classify_regime(rf.ModelParams(1, 1, 1)) is rf.Regime.LINEAR
@@ -154,6 +216,29 @@ class TestCorrelate:
         with pytest.raises(rf.TooFewAlignedPointsError):
             rf.correlate(x, y)
 
+    def test_matches_dict_alignment(self):
+        rng = np.random.default_rng(RNG_SEED + 5)
+        for case in range(300):
+            n = int(rng.integers(1, 40))
+            scale = 10.0 ** rng.integers(-9, 12)
+            grid = np.unique(rng.integers(0, 60, size=n)) * scale
+            if case % 3 == 0:  # neighbours closer than 1e-9: the last value wins
+                grid = np.unique(np.concatenate([grid, grid + rng.uniform(0, 6e-10)]))
+            other = np.unique(np.concatenate([
+                rng.choice(grid, size=grid.size // 2 + 1), rng.integers(0, 60, size=4) * scale
+            ]))
+            x = rf.TimeSeries(grid, rng.normal(size=grid.size) * 10.0 ** rng.integers(-5, 5))
+            y = rf.TimeSeries(other, rng.normal(size=other.size))
+            for a, b in ((x, y), (y, x), (x, x)):
+                assert _outcome(rf.correlate, a, b) == _outcome(_reference_correlate, a, b)
+
+    def test_times_beyond_the_alignment_grid_are_named_error(self):
+        x = rf.TimeSeries([1e300, 2e300, 3e300], [1.0, 2.0, 4.0])
+        with pytest.raises(rf.SolutionOverflowError, match="time 1e\\+300"):
+            rf.correlate(x, x)
+        near = rf.TimeSeries([0.0, 1e299, 1.7e299], [1.0, 2.0, 4.0])
+        assert rf.correlate(near, near).n == 3
+
     def test_symmetry_properties(self):
         rng = np.random.default_rng(RNG_SEED + 3)
         for _ in range(25):
@@ -222,6 +307,17 @@ class TestYearlySummary:
             weighted += row.mean * n
         assert counted == t.size
         assert weighted / t.size == pytest.approx(float(v.mean()), abs=1e-12)
+
+    def test_matches_mask_scan(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        for window in (1e-3, 0.01, 0.37, 1.0, 5.0, 1e3):
+            for n in (1, 2, 50, 2000):
+                t = np.unique(np.cumsum(rng.exponential(0.02, size=n)) - 3.0)
+                v = rng.normal(size=t.size) + np.where(rng.random(t.size) < 0.05, 9.0, 0.0)
+                series = rf.TimeSeries(t, v)
+                assert _outcome(rf.yearly_summary, series, window) == _outcome(
+                    _reference_summary, series, window
+                )
 
     def test_window_validation(self):
         series = rf.TimeSeries([0.0, 1.0], [1.0, 2.0])

@@ -283,6 +283,12 @@ class TestCorrelate:
         assert main(["correlate", "--x", str(x), "--y", str(y)]) == 1
         assert "ZeroVariance" in capsys.readouterr().err
 
+    def test_times_beyond_alignment_grid_exit_1(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        x.write_bytes(b"t,value\n1e300,1\n2e300,2\n3e300,4\n")
+        assert main(["correlate", "--x", str(x), "--y", str(x)]) == 1
+        assert "SolutionOverflowError: time 1e+300" in capsys.readouterr().err
+
 
 class TestPlot:
     def test_line_plot(self, tmp_path):
@@ -321,6 +327,14 @@ class TestPlot:
         root = ET.fromstring(out.read_text())
         points = root.find(f"{ns}polyline").get("points").split()
         assert len(points) == 1  # a one-point model curve at t = 2
+
+    def test_unrepresentable_pixels_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"t,value\n0,-1e308\n1,0\n2,1e308\n")
+        out = tmp_path / "fig.svg"
+        assert main(["plot", "--data", str(data), "--out", str(out)]) == 1
+        assert "SolutionOverflowError" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFitMetadata:

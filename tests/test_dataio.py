@@ -4,11 +4,126 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import retroflux as rf
-from retroflux.dataio import format_number, write_forecast_csv
+from retroflux.dataio import _emit_csv, _load_plain, format_number, write_forecast_csv
 
 RNG_SEED = 20260809
+
+
+def _reference_field(token, line_number, column):
+    if token != token.strip() or "_" in token:
+        raise rf.NonNumericFieldError(
+            f"line {line_number}: {column} field {token!r} is not a plain decimal"
+        )
+    try:
+        value = float(token)
+    except ValueError:
+        raise rf.NonNumericFieldError(
+            f"line {line_number}: {column} field {token!r} is not a number"
+        ) from None
+    if not math.isfinite(value):
+        raise rf.NonNumericFieldError(
+            f"line {line_number}: {column} field {token!r} is not finite"
+        )
+    return value
+
+
+def _reference_load(data):
+    """The per-line parser as it was before the vectorised pass."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+    except UnicodeDecodeError as exc:
+        line_number = data.count(b"\n", 0, exc.start) + 1
+        error = rf.MalformedHeaderError if line_number == 1 else rf.NonNumericFieldError
+        raise error(f"line {line_number}: invalid UTF-8 ({exc.reason})") from None
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    if not lines or lines[0] != "t,value":
+        got = lines[0] if lines else ""
+        raise rf.MalformedHeaderError(f"expected header {'t,value'!r}, got {got!r}")
+    if not text.isascii():
+        line_number = next(n for n, line in enumerate(lines, 1) if not line.isascii())
+        raise rf.NonNumericFieldError(
+            f"line {line_number}: {lines[line_number - 1]!r} has a non-ASCII "
+            "character; fields must be plain decimals"
+        )
+    times, values = [], []
+    for line_number, line in enumerate(lines[1:], start=2):
+        fields = line.split(",")
+        if len(fields) != 2:
+            raise rf.NonNumericFieldError(
+                f"line {line_number}: expected 2 comma-separated fields, "
+                f"got {len(fields)}"
+            )
+        t = _reference_field(fields[0], line_number, "t")
+        v = _reference_field(fields[1], line_number, "value")
+        if times and t <= times[-1]:
+            raise rf.NonMonotonicTimeError(
+                f"line {line_number}: time {format_number(t)} does not increase "
+                f"past {format_number(times[-1])}"
+            )
+        times.append(t)
+        values.append(v)
+    if not times:
+        raise rf.EmptyBodyError("CSV has a header but no records")
+    return rf.TimeSeries(np.array(times), np.array(values))
+
+
+def _outcome(load, data):
+    """The parsed bits, or the error class and message."""
+    try:
+        series = load(data)
+    except rf.RetrofluxError as exc:
+        return type(exc), str(exc)
+    return series.times.tobytes(), series.values.tobytes()
+
+
+# fields that float() reads differently from the CSV contract, or not at all
+_ODD_FIELDS = st.sampled_from(
+    ["+1", ".5", "5.", "1E5", "1e-3", "-0", "007", " 1", "1 ", "1_0", "inf", "-inf",
+     "nan", "NaN", "1e999", "", "x", "1.2.3", "+-1", "e5", "1e", "--1", "\t2"]
+)
+_FIELDS = st.one_of(
+    _ODD_FIELDS,
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+)
+_TIME_FORMATS = st.sampled_from(["{}", "{}.0", "{}e0", "+{}", "{}.", "0{}", "{}E-0"])
+
+
+@st.composite
+def _csv_texts(draw):
+    header = draw(st.sampled_from(["t,value"] * 12 + ["t,value\r", "time,value", ""]))
+    lines = [header]
+    for i in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(
+            ["record"] * 24 + ["any", "blank", "one", "three", "four"]
+        ))
+        value = draw(_FIELDS)
+        time = draw(_TIME_FORMATS).format(i) if kind != "any" else draw(_FIELDS)
+        if draw(st.integers(0, 29)) == 0:  # a repeated or decreasing time
+            time = draw(st.sampled_from(["0", str(i - 1), "-5"]))
+        lines.append({
+            "record": f"{time},{value}",
+            "any": f"{time},{value}",
+            "blank": "",
+            "one": time,
+            "three": f"{time},{value},{value}",
+            "four": f"{time},{value},{i + 0.5},{value}",
+        }[kind])
+    ending = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    endings = draw(st.lists(
+        st.sampled_from(["\n", "\r\n"] * 8 + ["\r", "\r\r\n"]),
+        min_size=len(lines), max_size=len(lines),
+    )) if ending == "mixed" else [ending] * len(lines)
+    text = "".join(line + end for line, end in zip(lines, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
 
 
 class TestLoadCsv:
@@ -65,6 +180,24 @@ class TestLoadCsv:
         with pytest.raises(rf.NonMonotonicTimeError):
             rf.load_timeseries_csv(b"t,value\n1,1\n1,2\n")
 
+    @settings(max_examples=400, deadline=None)
+    @given(_csv_texts())
+    def test_matches_per_line_reference(self, text):
+        data = text.encode("ascii")
+        expected = _outcome(_reference_load, data)
+        assert _outcome(rf.load_timeseries_csv, data) == expected
+        assert _outcome(rf.load_timeseries_csv, text) == expected
+        plain = _load_plain(text)  # the one-pass parse accepts only good input
+        if plain is not None:
+            assert (plain.times.tobytes(), plain.values.tobytes()) == expected
+
+    def test_one_pass_takes_plain_and_crlf_bodies(self):
+        for text in ("t,value\n0,1\n1.5,-2e-3\n", "t,value\r\n-0,+1\r\n.5,1E5"):
+            assert _load_plain(text) == _reference_load(text)
+        for text in ("t,value\n0, 1\n", "t,value\n0,1\n\n", "t,value\n0,1,2\n",
+                     "t,value\n0,inf\n", "t,value\n1,0\n0,1\n", "t,value\n0,1\r"):
+            assert _load_plain(text) is None
+
 
 class TestWriteCsv:
     def test_integral_values_render_bare(self):
@@ -94,6 +227,25 @@ class TestWriteCsv:
         assert write_forecast_csv(influence, rate) == (
             b"t,value,rate\n1,-0,2\n2.5,-7,-0\n3,1e+16,1.2345678901234568e+16\n"
         )
+
+    def test_columns_match_format_number_join(self):
+        rng = np.random.default_rng(RNG_SEED + 1)
+        bits = rng.integers(0, 2**63, size=4000, dtype=np.uint64)
+        raw = bits.view(np.float64) * np.where(rng.random(bits.size) < 0.5, -1.0, 1.0)
+        special = [0.0, -0.0, 1.0, -7.0, 2.0**53, 2.0**53 + 2, 1e16 - 2, 1e16, -1e16,
+                   1e16 + 2, 9007199254740993.0, 123456789012345.0, 5e-324, -5e-324,
+                   2.2250738585072014e-308 / 3, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 0.1, 1e-7, 1e22, 2.5]
+        scaled = rng.normal(size=2000) * 10.0 ** rng.integers(-20, 20, size=2000)
+        column = np.concatenate([raw[np.isfinite(raw)], special, np.round(scaled), scaled])
+        other = rng.permutation(column)
+
+        def reference(header, *columns):
+            fields = [map(format_number, c.tolist()) for c in columns]
+            return "\n".join([header, *map(",".join, zip(*fields)), ""]).encode()
+
+        assert _emit_csv("t,value", column, other) == reference("t,value", column, other)
+        assert _emit_csv("a", column) == reference("a", column)
 
     def test_format_number_shortest(self):
         assert format_number(1.0) == "1"

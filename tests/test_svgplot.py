@@ -46,6 +46,27 @@ def axis_transform(root):
     return invert, forward
 
 
+def _reference_series_lines(spec, svg):
+    """The series elements as the per-point renderer wrote them."""
+    _, forward = axis_transform(parse(svg))
+    lines = []
+    for index, entry in enumerate(spec.series):
+        color = rf.svgplot._PALETTE[index % len(rf.svgplot._PALETTE)]
+        data = entry.data
+        t = data.times() if isinstance(data, rf.Trajectory) else data.times
+        pixels = [forward(ti, vi) for ti, vi in zip(t.tolist(), data.values.tolist())]
+        if entry.style == "scatter":
+            dots = "".join(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5"/>' for x, y in pixels)
+            lines.append(f'<g class="series" fill="{color}">{dots}</g>')
+        else:
+            points = " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels)
+            lines.append(
+                f'<polyline class="series" fill="none" stroke="{color}" '
+                f'stroke-width="1.5" points="{points}"/>'
+            )
+    return lines
+
+
 class TestLineplot:
     def test_single_series_single_polyline(self):
         svg = rf.render_lineplot(
@@ -139,6 +160,33 @@ class TestLineplot:
             ex, ey = forward(ti, vi)
             assert abs(float(circle.get("cx")) - ex) <= 0.5
             assert abs(float(circle.get("cy")) - ey) <= 0.5
+
+    def test_series_match_per_point_renderer(self):
+        rng = np.random.default_rng(20260810)
+        for case in range(40):
+            entries = []
+            for k in range(1 + case % 3):
+                t = np.unique(rng.normal(0, 10.0 ** rng.integers(-3, 4), size=200))
+                v = rng.normal(size=t.size) * 10.0 ** rng.integers(-300, 300)
+                style = "scatter" if (case + k) % 2 else "line"
+                entries.append(rf.PlotSeries(f"s{k}", rf.TimeSeries(t, v), style))
+            if case % 5 == 0:
+                traj = rf.integrate(rf.ModelParams(0.5, 0.2, 1.0), None, 1.0, 0.1)
+                entries.append(rf.PlotSeries("traj", traj))
+            spec = spec_of(entries)
+            svg = rf.render_lineplot(spec)
+            series = [line for line in svg.split("\n") if 'class="series"' in line]
+            assert series == _reference_series_lines(spec, svg)
+
+    def test_unrepresentable_pixels_are_named_error(self):
+        for values in ([-1e308, 0.0, 1e308], [1.7e308, 1.7e308], [0.0, 4.2e305]):
+            # the last spans finite pixels for the data, but not for the top tick
+            series = rf.TimeSeries(np.arange(len(values), dtype=float), values)
+            with pytest.raises(rf.SolutionOverflowError, match="finite pixels"):
+                rf.render_lineplot(spec_of([rf.PlotSeries("big", series)]))
+        wide = rf.TimeSeries([-1e308, 0.0, 1e308], [0.0, 1.0, 2.0])
+        with pytest.raises(rf.SolutionOverflowError):
+            rf.render_lineplot(spec_of([rf.PlotSeries("wide", wide, "scatter")]))
 
     def test_trajectory_input(self):
         traj = rf.integrate(rf.ModelParams(0.5, 0.2, 1.0), None, 1.0, 0.1)
