@@ -123,12 +123,9 @@ def _load_plain(text: str) -> TimeSeries | None:
             dtype=float,
             count=separators.size + 1,
         )
-    except ValueError:
+        return TimeSeries(fields[0::2], fields[1::2])
+    except ValueError:  # a field float() rejects, a non-finite value or a time out of order
         return None
-    times, values = fields[0::2], fields[1::2]
-    if not (np.isfinite(fields).all() and (times[1:] > times[:-1]).all()):
-        return None
-    return TimeSeries(times, values)
 
 
 def load_timeseries_csv(data: bytes | str) -> TimeSeries:
