@@ -20,6 +20,7 @@ from .model import (
     ModelParams,
     Regime,
     _linear_halfwidth,
+    _s,
     solution_coefficients,
 )
 from .series import TimeSeries
@@ -74,7 +75,7 @@ def classify_regime(params: ModelParams, tol: float = REGIME_TOL) -> Regime:
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    s = params.a * params.a - params.b * params.b
+    s = _s(params)
     band = _linear_halfwidth(params, tol)
     if abs(s) <= band:
         return Regime.LINEAR

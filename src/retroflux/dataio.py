@@ -11,6 +11,7 @@ rendering.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,7 +44,6 @@ __all__ = [
 _HEADER = "t,value"
 # the bytes of a body that _load_plain parses in one pass
 _PLAIN_BYTES = b"0123456789+-.eE,\n"
-_COMMA, _NEWLINE = ord(","), ord("\n")
 
 
 @dataclass(frozen=True)
@@ -62,16 +62,11 @@ class ModelDocument:
 
 
 def format_number(value: float) -> str:
-    """Shortest decimal that parses back to the same double.
-
-    Integral values drop the trailing ``.0`` (so 1.0 renders as ``1``);
-    negative zero keeps its sign to stay bit-exact through a round trip.
+    """Shortest decimal that parses back to the same double: ``repr`` with
+    the trailing ``.0`` of an integral value dropped (1.0 renders as ``1``,
+    -0.0 as ``-0``, 1e16 as ``1e+16``; inf and nan render as repr does).
     """
-    if value == 0.0:
-        return "-0" if math.copysign(1.0, value) < 0 else "0"
-    if value == int(value) and abs(value) < 1e16:
-        return str(int(value))
-    return repr(value)
+    return repr(value).removesuffix(".0")
 
 
 def _parse_field(token: str, line_number: int, column: str) -> float:
@@ -93,38 +88,24 @@ def _parse_field(token: str, line_number: int, column: str) -> float:
 
 
 def _load_plain(text: str) -> TimeSeries | None:
-    """Parse the CSV in one vectorised pass, or return None to parse per line.
+    """Parse the CSV in one np.loadtxt pass, or return None to parse per line.
 
-    Only a body of ``_PLAIN_BYTES`` whose commas and newlines alternate (two
-    fields a record, no blank lines) is parsed here.  Over those bytes
-    float() accepts no whitespace, ``_``, inf or nan, so each value is the
+    Only a nonempty body of ``_PLAIN_BYTES`` with no blank line and two
+    fields a record is parsed here: loadtxt would skip blank lines,
+    comments and whitespace that the per-line parser refuses.  Over those
+    bytes loadtxt reads each field as float() does, so each value is the
     one the per-line parser returns; any other failure returns None.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
+    text = text.replace("\r\n", "\n")
     if not (text.startswith(_HEADER + "\n") and text.isascii()):
         return None
-    body = text[len(_HEADER) + 1 :].encode("ascii")
-    if body.endswith(b"\n"):
-        body = body[:-1]
-    if body.translate(None, _PLAIN_BYTES):
-        return None
-    raw = np.frombuffer(body, dtype=np.uint8)
-    separators = raw[(raw == _COMMA) | (raw == _NEWLINE)]
-    if (
-        separators.size % 2 == 0
-        or (separators[0::2] != _COMMA).any()
-        or (separators[1::2] != _NEWLINE).any()
-    ):
+    body = text[len(_HEADER) + 1 :]
+    if not body or "\n\n" in text or body.encode("ascii").translate(None, _PLAIN_BYTES):
         return None
     try:
-        fields = np.fromiter(
-            map(float, body.replace(b"\n", b",").split(b",")),
-            dtype=float,
-            count=separators.size + 1,
-        )
-        return TimeSeries(fields[0::2], fields[1::2])
-    except ValueError:  # a field float() rejects, a non-finite value or a time out of order
+        fields = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
+        return TimeSeries(fields[:, 0], fields[:, 1]) if fields.shape[1] == 2 else None
+    except ValueError:  # a bad field, a field count that changes, inf or a time out of order
         return None
 
 
@@ -143,8 +124,7 @@ def load_timeseries_csv(data: bytes | str) -> TimeSeries:
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    if "\r" in text:
-        lines = [line[:-1] if line.endswith("\r") else line for line in lines]
+    lines = [line[:-1] if line.endswith("\r") else line for line in lines]
     if not lines or lines[0] != _HEADER:
         got = lines[0] if lines else ""
         raise MalformedHeaderError(f"expected header {_HEADER!r}, got {got!r}")
@@ -178,14 +158,11 @@ def load_timeseries_csv(data: bytes | str) -> TimeSeries:
 
 
 def _render_column(column: np.ndarray) -> list[str]:
-    """format_number of every entry: repr, patched where format_number
-    drops the ``.0`` of an integral value (zeros included)."""
-    values = column.tolist()
-    text = list(map(repr, values))
-    # beyond 1e16 (all integral) format_number is repr
-    integral = (column == np.trunc(column)) & (np.abs(column) < 1e16)
-    for i in np.flatnonzero(integral).tolist():
-        text[i] = format_number(values[i])
+    """format_number of every entry: repr, with the ``.0`` dropped only
+    where an entry is integral, the one place repr can end in it."""
+    text = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(column == np.trunc(column)).tolist():
+        text[i] = text[i].removesuffix(".0")
     return text
 
 

@@ -296,7 +296,8 @@ def fit(
     else:
         d = s / m
     fitted = _from_mdc(m, d, c * scale if c > 0.0 else 0.0)  # never -0.0
-    final_rss = float(np.sum((v - eval_solution(fitted, t)) ** 2))
+    with np.errstate(over="ignore"):  # data near 1e154 and up can square to inf
+        final_rss = float(np.sum((v - eval_solution(fitted, t)) ** 2))
     return FitResult(
         params=fitted,
         rss=final_rss,

@@ -245,8 +245,8 @@ def integrate(
     For zero forcing the result matches the closed form to RK4 accuracy.
     More than MAX_STEPS steps raise InvalidStepError before any allocation.
     """
-    if not (math.isfinite(T) and T > 0):
-        raise InvalidStepError(f"horizon T must be positive, got {T!r}")
+    if not (math.isfinite(2.0 * T) and T > 0):  # the grid spans 2T
+        raise InvalidStepError(f"horizon T must be positive with 2T finite, got {T!r}")
     if not (math.isfinite(h) and 0 < h <= T):
         raise InvalidStepError(f"step h must satisfy 0 < h <= T, got {h!r}")
     if T / h >= MAX_STEPS + 0.5:

@@ -105,6 +105,17 @@ class Regime(enum.Enum):
     OSCILLATORY = "Oscillatory"
 
 
+def _s(params: ModelParams) -> float:
+    """s = a^2 - b^2, or SolutionOverflowError where it leaves the doubles
+    (a^2 overflows, or inf - inf is nan) and no solution can be evaluated."""
+    s = params.a * params.a - params.b * params.b
+    if not math.isfinite(s):
+        raise SolutionOverflowError(
+            f"discriminant a^2 - b^2 of a={params.a!r}, b={params.b!r} overflows"
+        )
+    return s
+
+
 def discriminant(params: ModelParams) -> Discriminant:
     """Return s = a^2 - b^2 and rate = sqrt(|s|).
 
@@ -114,7 +125,7 @@ def discriminant(params: ModelParams) -> Discriminant:
     r^2 = a^2 - b^2 (the mirrored term contributes -b^2 through the chain
     rule), so real exponential growth requires |a| > |b|.
     """
-    s = params.a * params.a - params.b * params.b
+    s = _s(params)
     return Discriminant(s=s, rate=math.sqrt(abs(s)))
 
 
@@ -137,7 +148,7 @@ def solution_coefficients(params: ModelParams, tol: float = REGIME_TOL) -> Coeff
     linear band; callers should fall back to eval_solution, which is
     regime-stable.
     """
-    s = params.a * params.a - params.b * params.b
+    s = _s(params)
     if s <= _linear_halfwidth(params, tol):
         raise NotExponentialError(
             f"discriminant s={s:.6g} is not strictly positive; "
@@ -153,8 +164,9 @@ def _kernels(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate the even/odd kernel pair (V, U) elementwise over t.
 
     Elements with |s*t^2| below the series cutoff use the Taylor expansions
-    V = 1 + s t^2/2 + s^2 t^4/24 and U = t + s t^3/6 + s^2 t^5/120, which keep
-    the pair smooth in s through s = 0 and free of 0/0.
+    in x = s*t^2, V = 1 + x/2 + x^2/24 and U = t*(1 + x/6 + x^2/120), which
+    keep the pair smooth in s through s = 0 and free of 0/0 (and of inf*0
+    where s^2 alone would overflow).
     """
     st2 = abs(s) * t * t
     small = st2 < _SERIES_CUTOFF
@@ -162,9 +174,9 @@ def _kernels(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U = np.empty_like(t)
     if small.any():
         ts = t[small]
-        ts2 = ts * ts
-        V[small] = 1.0 + s * ts2 / 2.0 + (s * s) * ts2 * ts2 / 24.0
-        U[small] = ts * (1.0 + s * ts2 / 6.0 + (s * s) * ts2 * ts2 / 120.0)
+        x = s * (ts * ts)
+        V[small] = 1.0 + x / 2.0 + x * x / 24.0
+        U[small] = ts * (1.0 + x / 6.0 + x * x / 120.0)
     exact = ~small
     if exact.any():
         root = math.sqrt(abs(s))
@@ -206,7 +218,7 @@ def _as_time_array(t) -> tuple[np.ndarray, bool]:
 
 def _evaluate(params: ModelParams, t, derivative: bool):
     arr, scalar = _as_time_array(t)
-    s = params.a * params.a - params.b * params.b
+    s = _s(params)
     m = params.a + params.b
     V, U = _kernels(s, arr)
     c = params.c

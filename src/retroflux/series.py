@@ -31,7 +31,7 @@ class TimeSeries:
             raise ValueError(f"times ({t.size}) and values ({v.size}) differ in length")
         if not np.all(np.isfinite(t)) or not np.all(np.isfinite(v)):
             raise ValueError("times and values must all be finite")
-        if t.size > 1 and not np.all(np.diff(t) > 0):
+        if not np.all(t[1:] > t[:-1]):
             raise ValueError("times must be strictly increasing")
         t.flags.writeable = False
         v.flags.writeable = False

@@ -1,6 +1,7 @@
 """Regime classification, dominance, correlation and windowed summaries."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -332,3 +333,12 @@ class TestYearlySummary:
     def test_empty_series_unconstructible(self):
         with pytest.raises(ValueError):
             rf.TimeSeries([], [])
+
+    def test_order_check_does_not_overflow(self):
+        # times 2e308 apart: a difference overflows, a comparison does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series = rf.TimeSeries([-1e308, 1e308], [0.0, 1.0])
+            with pytest.raises(ValueError, match="strictly increasing"):
+                rf.TimeSeries([1e308, -1e308], [0.0, 1.0])
+        assert len(series) == 2

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -334,6 +335,54 @@ class TestPlot:
         out = tmp_path / "fig.svg"
         assert main(["plot", "--data", str(data), "--out", str(out)]) == 1
         assert "SolutionOverflowError" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestOverflowingInputs:
+    """Inputs near the double range end in a named error or a result, and
+    numpy warns about none of them."""
+
+    def run(self, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv)
+
+    def test_fit_whose_rss_overflows(self, tmp_path, capsys):
+        t = np.linspace(-2.0, 2.0, 51)
+        noise = 1.0 + 1e-3 * np.random.default_rng(5).standard_normal(t.size)
+        v = 1e200 * rf.eval_solution(rf.ModelParams(0.8, 0.3, 1.0), t) * noise
+        data = tmp_path / "d.csv"
+        data.write_bytes(rf.write_timeseries_csv(rf.TimeSeries(t, v)))
+        out = tmp_path / "fit.doc"
+        assert self.run(["fit", "--data", str(data), "--out", str(out)]) == 0
+        assert "rss=inf\n" in capsys.readouterr().out
+        assert rf.decode_model_document(out.read_text()).metadata["rss"] == "inf"
+
+    def test_classify_overflowing_discriminant(self, tmp_path, capsys):
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 1e200, 1e200, 1.0)
+        assert self.run(["classify", "--model", str(doc)]) == 1
+        assert "SolutionOverflowError" in capsys.readouterr().err
+
+    def test_plot_model_with_overflowing_discriminant(self, tmp_path, capsys):
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"t,value\n0,1\n1,2\n")
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.3, 1e200, 1.0)
+        out = tmp_path / "fig.svg"
+        argv = ["plot", "--data", str(data), "--model", str(doc), "--out", str(out)]
+        assert self.run(argv) == 1
+        assert "SolutionOverflowError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_grid_wider_than_doubles(self, tmp_path, capsys):
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.3, 0.1, 0.0)
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--model", str(doc), "--T", "1e308", "--h", "1e308",
+                "--out", str(out)]
+        assert self.run(argv) == 1
+        assert "InvalidStepError" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """CSV and model-document codecs: round trips, error locality, no coercion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,15 @@ import retroflux as rf
 from retroflux.dataio import _emit_csv, _load_plain, format_number, write_forecast_csv
 
 RNG_SEED = 20260809
+
+
+def _reference_format_number(value):
+    """format_number as it was before it became repr without a trailing ".0"."""
+    if value == 0.0:
+        return "-0" if math.copysign(1.0, value) < 0 else "0"
+    if value == int(value) and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
 
 
 def _reference_field(token, line_number, column):
@@ -64,8 +74,8 @@ def _reference_load(data):
         v = _reference_field(fields[1], line_number, "value")
         if times and t <= times[-1]:
             raise rf.NonMonotonicTimeError(
-                f"line {line_number}: time {format_number(t)} does not increase "
-                f"past {format_number(times[-1])}"
+                f"line {line_number}: time {_reference_format_number(t)} does not "
+                f"increase past {_reference_format_number(times[-1])}"
             )
         times.append(t)
         values.append(v)
@@ -198,6 +208,20 @@ class TestLoadCsv:
                      "t,value\n0,inf\n", "t,value\n1,0\n0,1\n", "t,value\n0,1\r"):
             assert _load_plain(text) is None
 
+    @pytest.mark.parametrize("text", [
+        "t,value\n0,1\n\n1,2\n", "t,value\n\n0,1\n", "t,value\n0,1\n\n",
+        "t,value\r\n0,1\r\n\r\n", "t,value\n#1,2\n", "t,value\n0,1\n#1,2\n",
+        "t,value\n0,\t1\n", "t,value\n0\t,1\n", "t,value\n",
+    ])
+    def test_one_pass_refuses_what_loadtxt_would_skip(self, text):
+        # loadtxt skips blank lines, comments and whitespace, and warns on no data
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _load_plain(text) is None
+            expected = _outcome(_reference_load, text)
+            assert isinstance(expected[0], type)
+            assert _outcome(rf.load_timeseries_csv, text) == expected
+
 
 class TestWriteCsv:
     def test_integral_values_render_bare(self):
@@ -240,8 +264,13 @@ class TestWriteCsv:
         column = np.concatenate([raw[np.isfinite(raw)], special, np.round(scaled), scaled])
         other = rng.permutation(column)
 
+        values = column.tolist()
+        assert list(map(format_number, values)) == list(
+            map(_reference_format_number, values)
+        )
+
         def reference(header, *columns):
-            fields = [map(format_number, c.tolist()) for c in columns]
+            fields = [map(_reference_format_number, c.tolist()) for c in columns]
             return "\n".join([header, *map(",".join, zip(*fields)), ""]).encode()
 
         assert _emit_csv("t,value", column, other) == reference("t,value", column, other)
@@ -252,6 +281,10 @@ class TestWriteCsv:
         assert format_number(-3.0) == "-3"
         assert format_number(0.1) == "0.1"
         assert float(format_number(0.30000000000000004)) == 0.30000000000000004
+
+    def test_format_number_non_finite_is_repr(self):
+        for value in (math.inf, -math.inf, math.nan):
+            assert format_number(value) == repr(value)
 
 
 class TestModelDocument:

@@ -222,6 +222,8 @@ class TestIntegrate:
             rf.integrate(params, None, 1.0, 2.0)
         with pytest.raises(rf.InvalidStepError):
             rf.integrate(params, None, -1.0, 0.1)
+        with pytest.raises(rf.InvalidStepError, match="2T finite"):  # [-T, T] overflows
+            rf.integrate(rf.ModelParams(0.3, 0.1, 0.0), None, 1e308, 1e308)
 
     def test_overflow(self):
         with pytest.raises(rf.SolutionOverflowError):

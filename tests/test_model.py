@@ -165,6 +165,25 @@ class TestEvalSolution:
         with pytest.raises(ValueError):
             rf.eval_solution(rf.ModelParams(1, 0, 1), math.nan)
 
+    def test_series_branch_at_huge_discriminant(self):
+        # s = -1e200: s*s overflows, but the series in x = s*t^2 is exact at t = 0
+        params = rf.ModelParams(0.3, 1e100, 0.8)
+        assert rf.eval_solution(params, 0.0) == 0.8
+        assert np.all(np.isfinite(rf.eval_solution(params, [0.0, 1e-110, 0.5])))
+
+    def test_overflowing_discriminant_is_named(self):
+        # a^2 - b^2 is inf - inf = nan, or -inf
+        for params in (rf.ModelParams(1e200, 1e200, 0.8), rf.ModelParams(0.3, 1e200, 1.0)):
+            for call in (
+                lambda: rf.eval_solution(params, 0.5),
+                lambda: rf.eval_solution_derivative(params, [0.0, 0.5]),
+                lambda: rf.solution_coefficients(params),
+                lambda: rf.discriminant(params),
+                lambda: rf.classify_regime(params),
+            ):
+                with pytest.raises(rf.SolutionOverflowError, match="overflows"):
+                    call()
+
 
 class TestKernelDerivative:
     def test_matches_central_differences(self):
