@@ -30,7 +30,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .integrator import sample_grid
-from .model import ModelParams, _kernel_ds, _kernels, eval_solution, eval_solution_derivative
+from .model import ModelParams, _evaluate, _kernel_ds, _kernels, eval_solution
 from .series import TimeSeries
 
 __all__ = [
@@ -52,7 +52,7 @@ class FitOptions:
     reduction (relative to the rss)."""
 
     max_iterations: int = 100
-    gradient_tolerance: float = 1e-10
+    gradient_tolerance: float = 1e-13
     step_tolerance: float = 1e-12
     initial_damping: float = 1e-3
 
@@ -132,26 +132,29 @@ def seed_parameters(series: TimeSeries) -> ModelParams:
     c0 = max(float(v[0]), 1e-8)
 
     positive = np.flatnonzero(v > 0.0)
-    if positive.size >= 2:
-        i, j = positive[-2], positive[-1]
-        r0 = math.log(v[j] / v[i]) / (t[j] - t[i])
-    else:
-        r0 = 0.0
+    # values beyond the doubles are 0 or inf here, and _from_mdc names them
+    with np.errstate(all="ignore"):
+        # no rate from one positive value, or from a ratio that is 0 or inf
+        ratio = v[positive[-1]] / v[positive[-2]] if positive.size >= 2 else 0.0
+        r0 = math.log(ratio) / (t[positive[-1]] - t[positive[-2]]) if 0 < ratio < math.inf else 0.0
 
-    if abs(v[1]) > 1e-12:
-        m0 = (v[2] - v[0]) / (t[2] - t[0]) / v[1]
-    else:
-        # no usable p'/p ratio at the start; assume the pure-exponential
-        # split (b = 0, a = r0), which is self-consistent with s = r0^2
-        m0 = r0
+        if abs(v[1]) > 1e-12:
+            m0 = (v[2] - v[0]) / (t[2] - t[0]) / v[1]
+        else:
+            # no usable p'/p ratio at the start; assume the pure-exponential
+            # split (b = 0, a = r0), which is self-consistent with s = r0^2
+            m0 = r0
 
-    d0 = r0 * r0 / m0 if abs(m0) > 1e-8 else 0.0
-    return _from_mdc(m0, d0, c0)
+        d0 = r0 * r0 / m0 if abs(m0) > 1e-8 else 0.0
+        return _from_mdc(m0, d0, c0)
 
 
 def _from_mdc(m, d, c) -> ModelParams:
-    """(a, b, c) from (m, d, c) = (a + b, a - b, c)."""
-    return ModelParams(a=float(0.5 * (m + d)), b=float(0.5 * (m - d)), c=float(c))
+    """(a, b, c) from (a + b, a - b, c); SolutionOverflowError if a or b is not finite."""
+    a, b = float(0.5 * (m + d)), float(0.5 * (m - d))
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise SolutionOverflowError(f"a + b = {m:.6g} and a - b = {d:.6g} give no finite a, b")
+    return ModelParams(a=a, b=b, c=float(c))
 
 
 def _profile(s: float, t: np.ndarray, w: np.ndarray):
@@ -327,7 +330,5 @@ def forecast(
     times = sample_grid(from_t, horizon, step)[1:]
     if times.size == 0:
         raise ValueError("horizon admits no forecast point at this step")
-    return (
-        TimeSeries(times, eval_solution(params, times)),
-        TimeSeries(times, eval_solution_derivative(params, times)),
-    )
+    influence, rate = _evaluate(params, times)
+    return TimeSeries(times, influence), TimeSeries(times, rate)

@@ -46,11 +46,14 @@ MAX_STEPS = 10_000_000
 
 def sample_grid(start: float, span: float, step: float) -> np.ndarray:
     """start + k*step for k = 0..floor(span/step + 1e-9); more than MAX_STEPS
-    steps raise InvalidStepError before anything is allocated."""
+    steps, or a non-finite last point, raise InvalidStepError before allocating."""
     ratio = span / step
     if ratio > MAX_STEPS:
         raise InvalidStepError(f"span/step = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
-    return start + step * np.arange(int(math.floor(ratio + 1e-9)) + 1)
+    steps = int(math.floor(ratio + 1e-9))
+    if not math.isfinite(start + step * steps):
+        raise InvalidStepError(f"grid end {start!r} + {steps} * {step!r} is not finite")
+    return start + step * np.arange(steps + 1)
 
 
 # Bound on ||R||^B for the scan's block length B (1e300 * 1e8 stays finite).

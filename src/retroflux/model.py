@@ -168,25 +168,26 @@ def _kernels(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keep the pair smooth in s through s = 0 and free of 0/0 (and of inf*0
     where s^2 alone would overflow).
     """
-    st2 = abs(s) * t * t
-    small = st2 < _SERIES_CUTOFF
+    # |s*t^2| < cutoff, tested on |t| so that no product overflows
+    small = np.abs(t) < (math.sqrt(_SERIES_CUTOFF) / math.sqrt(abs(s)) if s else math.inf)
     V = np.empty_like(t)
     U = np.empty_like(t)
     if small.any():
         ts = t[small]
-        x = s * (ts * ts)
+        x = s * ts * ts  # 0 at s = 0 for any t, where ts * ts could be inf
         V[small] = 1.0 + x / 2.0 + x * x / 24.0
         U[small] = ts * (1.0 + x / 6.0 + x * x / 120.0)
     exact = ~small
     if exact.any():
         root = math.sqrt(abs(s))
+        reach = float(np.abs(t[exact]).max()) * root  # max |x|, inf past the doubles
+        if (s > 0 and reach > _MAX_EXP_ARG) or reach == math.inf:
+            raise SolutionOverflowError(
+                f"exponent {reach:.3g} exceeds the representable "
+                "range; shrink the horizon or the rate"
+            )
         x = root * t[exact]
         if s > 0:
-            if np.abs(x).max() > _MAX_EXP_ARG:
-                raise SolutionOverflowError(
-                    f"exponent {np.abs(x).max():.3g} exceeds the representable "
-                    "range; shrink the horizon or the rate"
-                )
             V[exact] = np.cosh(x)
             U[exact] = np.sinh(x) / root
         else:
@@ -216,24 +217,25 @@ def _as_time_array(t) -> tuple[np.ndarray, bool]:
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def _evaluate(params: ModelParams, t, derivative: bool):
+def _evaluate(params: ModelParams, t):
+    """(p, p') at t from one kernel pass; either may be inf or nan, unwarned."""
     arr, scalar = _as_time_array(t)
     s = _s(params)
-    m = params.a + params.b
+    c, m = params.c, params.a + params.b
     V, U = _kernels(s, arr)
-    c = params.c
-    out = c * s * U + m * c * V if derivative else c * V + m * c * U
-    return float(out[0]) if scalar else out
+    with np.errstate(over="ignore", invalid="ignore"):
+        p, dp = c * V + m * c * U, c * s * U + m * c * V
+    return (float(p[0]), float(dp[0])) if scalar else (p, dp)
 
 
 def eval_solution(params: ModelParams, t):
     """Influence p(t) at one or many times (negative t is allowed).
 
     Accepts a scalar or an array of times and returns the matching shape.
-    Raises SolutionOverflowError when the exponential argument sqrt(s)*t
+    Raises SolutionOverflowError when the kernel argument sqrt(|s|)*t
     leaves the representable range.
     """
-    return _evaluate(params, t, derivative=False)
+    return _evaluate(params, t)[0]
 
 
 def eval_solution_derivative(params: ModelParams, t):
@@ -242,7 +244,7 @@ def eval_solution_derivative(params: ModelParams, t):
     Because V is even and U is odd, this equals a*p(t) + b*p(-t) identically,
     which is the correctness oracle used throughout the test suite.
     """
-    return _evaluate(params, t, derivative=True)
+    return _evaluate(params, t)[1]
 
 
 def fde_residual(params: ModelParams, trajectory: "Trajectory") -> float:

@@ -375,6 +375,26 @@ class TestOverflowingInputs:
         assert "SolutionOverflowError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_forecast_grid_wider_than_doubles(self, tmp_path, capsys):
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.3, 0.1, 1.0)
+        out = tmp_path / "fc.csv"
+        argv = ["forecast", "--model", str(doc), "--from", "1.7e308", "--horizon",
+                "1e308", "--step", "1e307", "--out", str(out)]
+        assert self.run(argv) == 1
+        assert "InvalidStepError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t, v", [
+        ([-1e154, -1e100, 1e-300, 1, 7, 1e5], [1e100, -1.7e308, 1, 1e200, -0.3, 1e-300]),
+        ([0, 1e-300, 2e-300, 3e-300], [1, 2, 3, 4]),
+    ])
+    def test_fit_whose_seed_leaves_the_doubles(self, tmp_path, t, v):
+        data = tmp_path / "d.csv"
+        data.write_bytes(rf.write_timeseries_csv(rf.TimeSeries(t, v)))
+        argv = ["fit", "--data", str(data), "--out", str(tmp_path / "fit.doc")]
+        assert self.run(argv) in (0, 1)
+
     def test_simulate_grid_wider_than_doubles(self, tmp_path, capsys):
         doc = tmp_path / "m.doc"
         write_doc(doc, 0.3, 0.1, 0.0)

@@ -185,6 +185,21 @@ class TestSeeding:
         with pytest.raises(rf.DegenerateSeriesError):
             rf.seed_parameters(rf.TimeSeries(np.arange(6.0), np.zeros(6)))
 
+    def test_ratio_beyond_the_doubles_gives_no_rate(self):
+        # the last two positive values at t >= 0 are 1e200 and 1e-300, whose
+        # ratio underflows to 0; log(0) used to raise a bare ValueError
+        t = [-1e154, -1e100, 1e-300, 1.0, 7.0, 1e5]
+        v = [1e100, -1.7e308, 1.0, 1e200, -0.3, 1e-300]
+        seed = rf.seed_parameters(rf.TimeSeries(t, v))
+        assert seed.a == seed.b  # r0 = 0 gives a - b = 0
+        assert seed.c == 1.0
+
+    def test_seed_beyond_the_doubles_is_named(self):
+        # r0 = log(4/3)/1e-300 squares to inf, so a - b = r0^2/m0 is inf
+        series = rf.TimeSeries([0.0, 1e-300, 2e-300, 3e-300], [1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(rf.SolutionOverflowError):
+            rf.seed_parameters(series)
+
     def test_ignores_negative_times(self):
         # symmetric simulation output seeds from its t >= 0 half
         params = rf.ModelParams(0.8, 0.3, 1.0)
@@ -202,6 +217,18 @@ class TestFit:
         assert result.params.a == pytest.approx(0.8, rel=1e-3)
         assert result.params.b == pytest.approx(0.3, rel=1e-3)
         assert result.params.c == pytest.approx(1.0, rel=1e-3)
+
+    def test_clean_fit_reaches_rounding_level(self):
+        # the default gradient test used to stop one Gauss-Newton step short,
+        # at rss 1.5e-18 and parameter errors of 3.2e-10
+        truth = rf.ModelParams(0.8, 0.3, 1.0)
+        series = sampled(truth, 0, 5, 51)
+        result = rf.fit(series)
+        v = series.values
+        assert result.converged
+        assert result.rss <= 1e-24 * (1.0 + v @ v)
+        for got, want in zip(split(result.params), split(truth)):
+            assert got == pytest.approx(want, abs=1e-12)
 
     def test_oscillatory_round_trip(self):
         truth = rf.ModelParams(0, 1, 1)
@@ -405,6 +432,11 @@ class TestForecast:
             rf.forecast(params, 0.0, 1.0, 0.0)
         with pytest.raises(rf.SolutionOverflowError):
             rf.forecast(params, 0.0, 400.0, 200.0)
+
+    def test_grid_end_beyond_the_doubles(self):
+        params = rf.ModelParams(0.3, 0.1, 1.0)
+        with pytest.raises(rf.InvalidStepError, match="not finite"):
+            rf.forecast(params, 1.7e308, 1e308, 1e307)
 
     def test_point_count_capped_before_allocation(self):
         params = rf.ModelParams(0.3, 0.1, 1.0)

@@ -6,6 +6,7 @@ reuses the code path it is checking.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,20 @@ class TestEvalSolution:
         params = rf.ModelParams(0.3, 1e100, 0.8)
         assert rf.eval_solution(params, 0.0) == 0.8
         assert np.all(np.isfinite(rf.eval_solution(params, [0.0, 1e-110, 0.5])))
+
+    def test_no_overflowing_kernel_product(self):
+        # no kernel product may leave the doubles: |s|*t^2 at s = -1e200,
+        # t = 1e200, t*t at s = 0, or sqrt(|s|)*t at t = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            linear = rf.ModelParams(0.5, 0.5, 1.0)
+            assert rf.eval_solution(linear, 1e160) == 1e160
+            assert rf.eval_solution_derivative(linear, 1e160) == 1.0
+            p = rf.eval_solution(rf.ModelParams(0.3, 1e100, 1.0), 1e200)
+            assert math.isfinite(p) and abs(p) <= 2.0  # cos(wt) + (a+b)/w sin(wt)
+            for params in (rf.ModelParams(3.0, 0.3, 1.0), rf.ModelParams(0.3, 3.0, 1.0)):
+                with pytest.raises(rf.SolutionOverflowError):  # sqrt(|s|)*t is inf
+                    rf.eval_solution(params, 1e308)
 
     def test_overflowing_discriminant_is_named(self):
         # a^2 - b^2 is inf - inf = nan, or -inf
