@@ -176,21 +176,24 @@ def yearly_summary(series: TimeSeries, window: float) -> list[SummaryRow]:
         raise InvalidStepError(f"span/window = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
     index = np.floor((series.times - t0) / window).astype(int)
     # times increase, so each window is one contiguous run of the index
-    cuts = (np.flatnonzero(np.diff(index)) + 1).tolist()
+    lows = [0, *(np.flatnonzero(np.diff(index)) + 1).tolist()]
+    highs = [*lows[1:], index.size]
+    # each window's values divided by 2^k, k from frexp of its largest
+    # magnitude, so no moment overflows; a power of two scales back exactly
+    _, exponents = np.frexp(np.maximum.reduceat(np.abs(series.values), lows))
+    scaled = np.ldexp(series.values, np.repeat(-exponents, np.subtract(highs, lows)))
     rows = []
-    for lo, hi in zip([0, *cuts], [*cuts, index.size]):
-        tw = series.times[lo:hi]
-        vw = series.values[lo:hi]
-        mean = float(vw.mean())
-        stddev = float(vw.std())
-        spread = np.abs(vw - mean)
-        flagged = spread > 2.0 * stddev
+    for lo, hi, k in zip(lows, highs, exponents.tolist()):
+        sw = scaled[lo:hi]
+        mean, stddev = float(sw.mean()), float(sw.std())
+        flagged = np.abs(sw - mean) > 2.0 * stddev
+        tw, vw = series.times[lo:hi][flagged], series.values[lo:hi][flagged]
         rows.append(
             SummaryRow(
                 window_start=t0 + int(index[lo]) * window,
-                mean=mean,
-                stddev=stddev,
-                outliers=tuple(zip(tw[flagged].tolist(), vw[flagged].tolist())),
+                mean=math.ldexp(mean, k),
+                stddev=math.ldexp(stddev, k),
+                outliers=tuple(zip(tw.tolist(), vw.tolist())),
             )
         )
     return rows

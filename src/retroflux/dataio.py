@@ -192,14 +192,6 @@ def encode_model_document(document: ModelDocument) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _to_float(value: int | float) -> float:
-    """float(value), with a JSON integer beyond the double range as +-inf."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _unique_fields(pairs: list) -> dict:
     seen = set()
     for key, _ in pairs:
@@ -209,62 +201,51 @@ def _unique_fields(pairs: list) -> dict:
     return dict(pairs)
 
 
-def _require_number(obj: dict, key: str, path: str) -> float:
-    if key not in obj:
-        raise MissingFieldError(path)
-    value = obj[key]
+def _number(value, path: str) -> float:
+    """The one JSON number rule: a non-bool int or float that is a finite double."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeMismatchError(f"{path}: expected a number, got {value!r}")
-    value = _to_float(value)
-    if not math.isfinite(value):
-        raise TypeMismatchError(f"{path}: expected a finite number, got {value!r}")
-    return value
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the double range
+        number = math.inf
+    if not math.isfinite(number):
+        raise TypeMismatchError(f"{path}: expected a finite number")
+    return number
 
 
-def _decode_forcing(block, path: str) -> ForcingSpec:
-    if not isinstance(block, dict):
-        raise TypeMismatchError(f"{path}: expected an object, got {block!r}")
-    for key in block:
-        if key not in ("kappa", "alpha", "eta"):
-            raise UnknownFieldError(f"{path}.{key}")
-    theta = None
+def _fields(obj, path: str, allowed: tuple[str, ...]) -> None:
+    """Check that obj is an object with no field outside allowed."""
+    if not isinstance(obj, dict):
+        raise TypeMismatchError(f"{path or 'root'}: expected an object, got {obj!r}")
+    for key in obj:
+        if key not in allowed:
+            raise UnknownFieldError(f"{path}.{key}" if path else key)
+
+
+def _require(obj: dict, key: str, path: str) -> float:
+    if key not in obj:
+        raise MissingFieldError(path)
+    return _number(obj[key], path)
+
+
+def _decode_forcing(block) -> ForcingSpec:
+    _fields(block, "forcing", ("kappa", "alpha", "eta"))
+    theta = eta = None
     if "kappa" in block or "alpha" in block:
-        kappa = _require_number(block, "kappa", f"{path}.kappa")
-        alpha = _require_number(block, "alpha", f"{path}.alpha")
-        try:
-            theta = GoodwillSpec(kappa=kappa, alpha=alpha)
-        except ValueError as exc:
-            raise TypeMismatchError(f"{path}: {exc}") from None
-    eta = None
-    if "eta" in block:
+        theta = GoodwillSpec(
+            _require(block, "kappa", "forcing.kappa"), _require(block, "alpha", "forcing.alpha")
+        )
+    if "eta" in block:  # not block.get: "eta": null is a type error
         raw = block["eta"]
-        if isinstance(raw, bool):
-            raise TypeMismatchError(f"{path}.eta: expected a number or pair list")
-        if isinstance(raw, (int, float)):
-            eta = _to_float(raw)
-            if not math.isfinite(eta):
-                raise TypeMismatchError(f"{path}.eta: expected a finite number")
-        elif isinstance(raw, list):
-            for i, item in enumerate(raw):
-                if (
-                    not isinstance(item, list)
-                    or len(item) != 2
-                    or any(
-                        isinstance(x, bool) or not isinstance(x, (int, float))
-                        for x in item
-                    )
-                ):
-                    raise TypeMismatchError(
-                        f"{path}.eta[{i}]: expected a [time, value] number pair"
-                    )
-            try:
-                eta = TimeSeries.from_pairs(raw)
-            except (ValueError, OverflowError) as exc:
-                raise TypeMismatchError(f"{path}.eta: {exc}") from None
-        else:
-            raise TypeMismatchError(
-                f"{path}.eta: expected a number or pair list, got {raw!r}"
+        if not isinstance(raw, list):
+            eta = _number(raw, "forcing.eta")
+        elif all(isinstance(item, list) and len(item) == 2 for item in raw):
+            eta = TimeSeries.from_pairs(
+                [_number(x, f"forcing.eta[{i}]") for x in item] for i, item in enumerate(raw)
             )
+        else:
+            raise TypeMismatchError("forcing.eta: expected a list of [time, value] pairs")
     return ForcingSpec(theta=theta, eta=eta)
 
 
@@ -272,8 +253,9 @@ def decode_model_document(text: str | bytes) -> ModelDocument:
     """Parse JSON text into a validated ModelDocument.
 
     Unknown fields are rejected with their dotted path; numbers are parsed
-    at full double precision; domain constraints (c >= 0, kappa > 0, ...)
-    are enforced here, never clamped.
+    at full double precision; the domain constraints of ModelParams,
+    GoodwillSpec and TimeSeries (c >= 0, kappa > 0, ...) become
+    TypeMismatchError, never clamped values.
     """
     try:
         if isinstance(text, (bytes, bytearray)):
@@ -281,26 +263,19 @@ def decode_model_document(text: str | bytes) -> ModelDocument:
         obj = json.loads(text, object_pairs_hook=_unique_fields)
     except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to parse
         raise TypeMismatchError(f"document is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise TypeMismatchError(f"document root must be an object, got {obj!r}")
-    for key in obj:
-        if key not in ("a", "b", "c", "forcing", "metadata"):
-            raise UnknownFieldError(key)
-    a = _require_number(obj, "a", "a")
-    b = _require_number(obj, "b", "b")
-    c = _require_number(obj, "c", "c")
+    _fields(obj, "", ("a", "b", "c", "forcing", "metadata"))
     try:
-        params = ModelParams(a=a, b=b, c=c)
+        params = ModelParams(*(_require(obj, key, key) for key in ("a", "b", "c")))
     except ValueError as exc:
         raise TypeMismatchError(str(exc)) from None
-    forcing = _decode_forcing(obj["forcing"], "forcing") if "forcing" in obj else None
-    metadata: dict[str, str] = {}
-    if "metadata" in obj:
-        block = obj["metadata"]
-        if not isinstance(block, dict):
-            raise TypeMismatchError("metadata: expected an object")
-        for key, value in block.items():
-            if not isinstance(value, str):
-                raise TypeMismatchError(f"metadata.{key}: expected a string")
-            metadata[key] = value
-    return ModelDocument(params=params, forcing=forcing, metadata=metadata)
+    try:
+        forcing = _decode_forcing(obj["forcing"]) if "forcing" in obj else None
+    except ValueError as exc:
+        raise TypeMismatchError(f"forcing: {exc}") from None
+    metadata = obj.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise TypeMismatchError("metadata: expected an object")
+    try:
+        return ModelDocument(params=params, forcing=forcing, metadata=metadata)
+    except TypeError as exc:
+        raise TypeMismatchError(f"metadata: {exc}") from None

@@ -30,7 +30,7 @@ from .errors import (
     TooFewPointsError,
 )
 from .integrator import sample_grid
-from .model import ModelParams, _evaluate, _kernel_ds, _kernels, eval_solution
+from .model import ModelParams, _evaluate, _finite, _kernel_ds, _kernels, eval_solution
 from .series import TimeSeries
 
 __all__ = [
@@ -83,6 +83,7 @@ class FitResult:
 
 
 Scheme = Literal["forward", "backward", "central"]
+_SCHEMES = {"forward": (0, 1), "backward": (1, 1), "central": (1, 2)}
 
 
 def finite_difference(series: TimeSeries, scheme: Scheme = "central") -> TimeSeries:
@@ -90,23 +91,21 @@ def finite_difference(series: TimeSeries, scheme: Scheme = "central") -> TimeSer
 
     forward is defined at all but the last point, backward at all but the
     first, central at interior points only.  Non-uniform spacing is handled
-    by dividing by the actual local gap.
+    by dividing by the actual local gap.  A gap or quotient beyond the
+    doubles raises SolutionOverflowError.
     """
+    if scheme not in _SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    first, gap = _SCHEMES[scheme]  # the first point estimated, and the index gap
     t, v = series.times, series.values
-    n = t.size
-    if scheme == "forward":
-        if n < 2:
-            raise TooFewPointsError("forward differences need at least 2 points")
-        return TimeSeries(t[:-1], (v[1:] - v[:-1]) / (t[1:] - t[:-1]))
-    if scheme == "backward":
-        if n < 2:
-            raise TooFewPointsError("backward differences need at least 2 points")
-        return TimeSeries(t[1:], (v[1:] - v[:-1]) / (t[1:] - t[:-1]))
-    if scheme == "central":
-        if n < 3:
-            raise TooFewPointsError("central differences need at least 3 points")
-        return TimeSeries(t[1:-1], (v[2:] - v[:-2]) / (t[2:] - t[:-2]))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    if t.size <= gap:
+        raise TooFewPointsError(f"{scheme} differences need at least {gap + 1} points")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dt = t[gap:] - t[:-gap]
+        rate = (v[gap:] - v[:-gap]) / dt
+    if not (np.isfinite(dt).all() and np.isfinite(rate).all()):
+        raise SolutionOverflowError(f"a {scheme} difference quotient leaves the double range")
+    return TimeSeries(t[first : first + rate.size], rate)
 
 
 def seed_parameters(series: TimeSeries) -> ModelParams:
@@ -321,7 +320,8 @@ def forecast(
     """Influence and rate-of-change forecasts on (from_t, from_t + horizon].
 
     Both series share the grid from_t + k*step, k = 1..floor(horizon/step);
-    horizon/step above MAX_STEPS raises InvalidStepError.
+    horizon/step above MAX_STEPS raises InvalidStepError, and a p or p' that
+    leaves the doubles raises SolutionOverflowError.
     """
     if not (math.isfinite(horizon) and horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon!r}")
@@ -330,5 +330,5 @@ def forecast(
     times = sample_grid(from_t, horizon, step)[1:]
     if times.size == 0:
         raise ValueError("horizon admits no forecast point at this step")
-    influence, rate = _evaluate(params, times)
-    return TimeSeries(times, influence), TimeSeries(times, rate)
+    p, dp = _evaluate(params, times)
+    return TimeSeries(times, _finite(p, "p(t)")), TimeSeries(times, _finite(dp, "p'(t)"))

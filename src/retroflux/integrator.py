@@ -46,13 +46,18 @@ MAX_STEPS = 10_000_000
 
 def sample_grid(start: float, span: float, step: float) -> np.ndarray:
     """start + k*step for k = 0..floor(span/step + 1e-9); more than MAX_STEPS
-    steps, or a non-finite last point, raise InvalidStepError before allocating."""
+    steps, a non-finite last point, or a step too small to keep the points
+    apart raise InvalidStepError before allocating."""
     ratio = span / step
     if ratio > MAX_STEPS:
         raise InvalidStepError(f"span/step = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
     steps = int(math.floor(ratio + 1e-9))
-    if not math.isfinite(start + step * steps):
+    end = start + step * steps
+    if not math.isfinite(end):
         raise InvalidStepError(f"grid end {start!r} + {steps} * {step!r} is not finite")
+    # two ulps of the largest point: its neighbours then round apart
+    if steps and step < 2.0 * math.ulp(max(abs(start), abs(end))):
+        raise InvalidStepError(f"step {step!r} does not separate grid points near {end!r}")
     return start + step * np.arange(steps + 1)
 
 
@@ -261,11 +266,11 @@ def integrate(
     h = T / n
     a, b = params.a, params.b
     f = None
-    if forcing is not None and (forcing.theta is not None or forcing.eta is not None):
-        # linspace pins both endpoints exactly, so tabulated forcing declared
-        # on [-T, T] is never queried an ulp outside its own range
-        f = _forcing_steps(forcing, np.linspace(0.0, T, n + 1), h, a, b)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        if forcing is not None and (forcing.theta is not None or forcing.eta is not None):
+            # linspace pins both endpoints exactly, so tabulated forcing declared
+            # on [-T, T] is never queried an ulp outside its own range
+            f = _forcing_steps(forcing, np.linspace(0.0, T, n + 1), h, a, b)
         P, Q = _scan(a, b, params.c, h, n, f)
         ok = np.abs(P[1:]) < _OVERFLOW_LIMIT
         ok &= np.abs(Q[1:]) < _OVERFLOW_LIMIT

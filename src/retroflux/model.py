@@ -218,7 +218,8 @@ def _as_time_array(t) -> tuple[np.ndarray, bool]:
 
 
 def _evaluate(params: ModelParams, t):
-    """(p, p') at t from one kernel pass; either may be inf or nan, unwarned."""
+    """(p, p') at t from one kernel pass; either may be inf or nan, unwarned,
+    so callers pass the half they return through _finite."""
     arr, scalar = _as_time_array(t)
     s = _s(params)
     c, m = params.c, params.a + params.b
@@ -228,23 +229,31 @@ def _evaluate(params: ModelParams, t):
     return (float(p[0]), float(dp[0])) if scalar else (p, dp)
 
 
+def _finite(values, name: str):
+    """values, or SolutionOverflowError if any of them left the doubles."""
+    if not np.isfinite(values).all():
+        raise SolutionOverflowError(f"{name} is not representable at some of the times")
+    return values
+
+
 def eval_solution(params: ModelParams, t):
     """Influence p(t) at one or many times (negative t is allowed).
 
     Accepts a scalar or an array of times and returns the matching shape.
-    Raises SolutionOverflowError when the kernel argument sqrt(|s|)*t
-    leaves the representable range.
+    Raises SolutionOverflowError when the kernel argument sqrt(|s|)*t or
+    p itself leaves the representable range.
     """
-    return _evaluate(params, t)[0]
+    return _finite(_evaluate(params, t)[0], "p(t)")
 
 
 def eval_solution_derivative(params: ModelParams, t):
     """Rate of change p'(t) = c*s*U(s,t) + (a+b)*c*V(s,t).
 
     Because V is even and U is odd, this equals a*p(t) + b*p(-t) identically,
-    which is the correctness oracle used throughout the test suite.
+    which is the correctness oracle used throughout the test suite.  Raises
+    SolutionOverflowError where p'(t) leaves the representable range.
     """
-    return _evaluate(params, t)[1]
+    return _finite(_evaluate(params, t)[1], "p'(t)")
 
 
 def fde_residual(params: ModelParams, trajectory: "Trajectory") -> float:

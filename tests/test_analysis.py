@@ -342,3 +342,14 @@ class TestYearlySummary:
             with pytest.raises(ValueError, match="strictly increasing"):
                 rf.TimeSeries([1e308, -1e308], [0.0, 1.0])
         assert len(series) == 2
+
+    def test_moments_of_values_near_the_double_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = rf.yearly_summary(rf.TimeSeries([0.0, 0.5], [1e160, -1e160]), 1.0)
+            assert (row.mean, row.stddev, row.outliers) == (0.0, 1e160, ())
+            (row,) = rf.yearly_summary(rf.TimeSeries([0.0, 1e-300], [1.7e308, -1.7e308]), 1.0)
+            assert (row.mean, row.stddev) == (0.0, 1.7e308)
+            # squares of 1e-170 underflow to 0 unless the window is scaled first
+            (row,) = rf.yearly_summary(rf.TimeSeries([0.0, 0.5], [3e-170, -3e-170]), 1.0)
+            assert (row.mean, row.stddev) == (0.0, 3e-170)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -155,6 +156,13 @@ _SERIES = st.one_of(
 )
 
 
+def _as_float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     command=st.sampled_from(["simulate", "fit", "forecast", "classify", "correlate", "plot"]),
@@ -162,11 +170,14 @@ _SERIES = st.one_of(
     series=_SERIES,
     x=_VALUES,
     y=_VALUES,
+    start=_VALUES,
     iterations=st.sampled_from(["-1", "0", "1", "20"]),
 )
-def test_main_exits_0_1_or_2(command, document, series, x, y, iterations):
+def test_main_exits_0_1_or_2(command, document, series, x, y, start, iterations):
     """Generated files and argument values end in exit 0, 1 or 2, never a
-    traceback; exit 2 leaves main as argparse's SystemExit(2)."""
+    traceback; exit 2 leaves main as argparse's SystemExit(2).  A forecast
+    whose --from parses and whose finite --step is in (0, --horizon] is never
+    a usage error: whatever else fails is the model's or the grid's, exit 1."""
     with tempfile.TemporaryDirectory() as tmp:
         doc, data, out = (os.path.join(tmp, name) for name in ("m.doc", "d.csv", "out"))
         with open(doc, "wb") as handle:
@@ -177,7 +188,7 @@ def test_main_exits_0_1_or_2(command, document, series, x, y, iterations):
             "simulate": ["simulate", "--model", doc, "--T", x, "--h", y, "--out", out],
             "fit": ["fit", "--data", data, "--out", out, "--max-iterations", iterations,
                     "--gradient-tolerance", x, "--seed", doc],
-            "forecast": ["forecast", "--model", doc, "--from", "0", "--horizon", x,
+            "forecast": ["forecast", "--model", doc, "--from", start, "--horizon", x,
                          "--step", y, "--out", out],
             "classify": ["classify", "--model", doc],
             "correlate": ["correlate", "--x", data, "--y", data],
@@ -190,6 +201,10 @@ def test_main_exits_0_1_or_2(command, document, series, x, y, iterations):
             except SystemExit as exc:
                 code = exc.code
     assert code in (0, 1, 2)
+    horizon, step = _as_float(x), _as_float(y)
+    # argparse refuses "x", and takes "-inf" for an option
+    if command == "forecast" and start not in ("x", "-inf") and math.isfinite(horizon):
+        assert code != 2 or not 0 < step <= horizon
 
 
 class TestRoundTrip:
@@ -401,6 +416,31 @@ class TestOverflowingInputs:
         out = tmp_path / "s.csv"
         argv = ["simulate", "--model", str(doc), "--T", "1e308", "--h", "1e308",
                 "--out", str(out)]
+        assert self.run(argv) == 1
+        assert "InvalidStepError" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_value_beyond_the_doubles(self, tmp_path, capsys):
+        # p = 1e10 * e^t overflows at t = 700: a domain error, not a usage error
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 1.0, 0.0, 1e10)
+        data = tmp_path / "d.csv"
+        data.write_bytes(b"t,value\n0,1\n700,2\n")
+        for argv in (
+            ["plot", "--data", str(data), "--model", str(doc), "--out", str(tmp_path / "f.svg")],
+            ["forecast", "--model", str(doc), "--from", "0", "--horizon", "700", "--step",
+             "100", "--out", str(tmp_path / "fc.csv")],
+        ):
+            assert self.run(argv) == 1
+            assert "SolutionOverflowError" in capsys.readouterr().err
+        assert not (tmp_path / "f.svg").exists() and not (tmp_path / "fc.csv").exists()
+
+    def test_forecast_step_below_the_grid_spacing(self, tmp_path, capsys):
+        doc = tmp_path / "m.doc"
+        write_doc(doc, 0.0, 0.0, 1.0)
+        out = tmp_path / "fc.csv"
+        argv = ["forecast", "--model", str(doc), "--from", "1e100", "--horizon", "1",
+                "--step", "0.25", "--out", str(out)]
         assert self.run(argv) == 1
         assert "InvalidStepError" in capsys.readouterr().err
         assert not out.exists()

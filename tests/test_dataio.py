@@ -1,15 +1,22 @@
 """CSV and model-document codecs: round trips, error locality, no coercion."""
 
+import json
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import retroflux as rf
-from retroflux.dataio import _emit_csv, _load_plain, format_number, write_forecast_csv
+from retroflux.dataio import (
+    _emit_csv,
+    _load_plain,
+    _unique_fields,
+    format_number,
+    write_forecast_csv,
+)
 
 RNG_SEED = 20260809
 
@@ -288,6 +295,158 @@ class TestWriteCsv:
             assert format_number(value) == repr(value)
 
 
+def _reference_number(obj, key, path):
+    if key not in obj:
+        raise rf.MissingFieldError(path)
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise rf.TypeMismatchError(f"{path}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    if not math.isfinite(value):
+        raise rf.TypeMismatchError(f"{path}: expected a finite number, got {value!r}")
+    return value
+
+
+def _reference_forcing(block, path):
+    if not isinstance(block, dict):
+        raise rf.TypeMismatchError(f"{path}: expected an object, got {block!r}")
+    for key in block:
+        if key not in ("kappa", "alpha", "eta"):
+            raise rf.UnknownFieldError(f"{path}.{key}")
+    theta = None
+    if "kappa" in block or "alpha" in block:
+        kappa = _reference_number(block, "kappa", f"{path}.kappa")
+        alpha = _reference_number(block, "alpha", f"{path}.alpha")
+        try:
+            theta = rf.GoodwillSpec(kappa=kappa, alpha=alpha)
+        except ValueError as exc:
+            raise rf.TypeMismatchError(f"{path}: {exc}") from None
+    eta = None
+    if "eta" in block:
+        raw = block["eta"]
+        if isinstance(raw, bool):
+            raise rf.TypeMismatchError(f"{path}.eta: expected a number or pair list")
+        if isinstance(raw, (int, float)):
+            try:
+                eta = float(raw)
+            except OverflowError:
+                eta = math.inf
+            if not math.isfinite(eta):
+                raise rf.TypeMismatchError(f"{path}.eta: expected a finite number")
+        elif isinstance(raw, list):
+            for i, item in enumerate(raw):
+                if (
+                    not isinstance(item, list)
+                    or len(item) != 2
+                    or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in item)
+                ):
+                    raise rf.TypeMismatchError(f"{path}.eta[{i}]: expected a [time, value] number pair")
+            try:
+                eta = rf.TimeSeries.from_pairs(raw)
+            except (ValueError, OverflowError) as exc:
+                raise rf.TypeMismatchError(f"{path}.eta: {exc}") from None
+        else:
+            raise rf.TypeMismatchError(f"{path}.eta: expected a number or pair list, got {raw!r}")
+    return rf.ForcingSpec(theta=theta, eta=eta)
+
+
+def _reference_decode(text):
+    """The model-document decoder as it was before its one number rule."""
+    try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
+        obj = json.loads(text, object_pairs_hook=_unique_fields)
+    except ValueError as exc:
+        raise rf.TypeMismatchError(f"document is not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise rf.TypeMismatchError(f"document root must be an object, got {obj!r}")
+    for key in obj:
+        if key not in ("a", "b", "c", "forcing", "metadata"):
+            raise rf.UnknownFieldError(key)
+    a = _reference_number(obj, "a", "a")
+    b = _reference_number(obj, "b", "b")
+    c = _reference_number(obj, "c", "c")
+    try:
+        params = rf.ModelParams(a=a, b=b, c=c)
+    except ValueError as exc:
+        raise rf.TypeMismatchError(str(exc)) from None
+    forcing = _reference_forcing(obj["forcing"], "forcing") if "forcing" in obj else None
+    metadata = {}
+    if "metadata" in obj:
+        block = obj["metadata"]
+        if not isinstance(block, dict):
+            raise rf.TypeMismatchError("metadata: expected an object")
+        for key, value in block.items():
+            if not isinstance(value, str):
+                raise rf.TypeMismatchError(f"metadata.{key}: expected a string")
+            metadata[key] = value
+    return rf.ModelDocument(params=params, forcing=forcing, metadata=metadata)
+
+
+def _decode_outcome(decode, text):
+    """The decoded document, or the error class."""
+    try:
+        return decode(text)
+    except rf.RetrofluxError as exc:
+        return type(exc)
+
+
+def _mostly(good, bad):
+    """good about four draws in five, else bad."""
+    return st.integers(0, 4).flatmap(lambda k: good if k else bad)
+
+
+# JSON leaves: mostly numbers the decoder takes, else numbers beyond the
+# doubles, NaN and Infinity tokens, and values of the wrong type
+_GOOD_NUMBER = st.one_of(st.sampled_from([0, 1, -1, 0.5, -2.5, 0.0, -0.0, 3, 1e308]), st.floats(-10, 10))
+_JSON_LEAF = _mostly(
+    _GOOD_NUMBER,
+    st.one_of(
+        st.sampled_from([math.nan, None]),
+        st.sampled_from([10**400, -(10**400), math.inf, -math.inf, True, False, "1", [], {}]),
+    ),
+)
+_ETA = st.one_of(
+    st.none(),
+    _JSON_LEAF,
+    # increasing tables, so that some are accepted
+    st.lists(st.floats(-10, 10), min_size=1, max_size=4, unique=True).map(
+        lambda ts: [[t, 2 * t] for t in sorted(ts)]
+    ),
+    st.lists(
+        st.one_of(st.lists(_JSON_LEAF, min_size=2, max_size=2),
+                  st.lists(_JSON_LEAF, max_size=3), _JSON_LEAF),
+        max_size=4,
+    ),
+)
+_FORCING_FIELDS = st.fixed_dictionaries(
+    {}, optional={"kappa": _JSON_LEAF, "alpha": _JSON_LEAF, "eta": _ETA}
+)
+_FORCING = _mostly(_FORCING_FIELDS, st.one_of(_FORCING_FIELDS.map(lambda f: {**f, "gamma": 1}), _JSON_LEAF))
+_METADATA = _mostly(
+    st.dictionaries(st.text(max_size=2), st.text(max_size=2), max_size=2),
+    st.one_of(st.dictionaries(st.text(max_size=2), _JSON_LEAF, min_size=1, max_size=2), _JSON_LEAF),
+)
+_ROOT_FIELDS = st.fixed_dictionaries(
+    {"a": _JSON_LEAF, "b": _JSON_LEAF, "c": _mostly(_GOOD_NUMBER.map(abs), _JSON_LEAF)},
+    optional={"forcing": _FORCING, "metadata": _METADATA},
+)
+_DOCUMENTS = _mostly(
+    _ROOT_FIELDS,
+    st.one_of(
+        _ROOT_FIELDS.map(lambda d: {**d, "d": 1}),
+        # one required field left out, so that the order of the checks shows
+        st.tuples(_ROOT_FIELDS, st.sampled_from("abc")).map(
+            lambda doc: {k: v for k, v in doc[0].items() if k != doc[1]}
+        ),
+        _JSON_LEAF,
+    ),
+).map(json.dumps)
+
+
 class TestModelDocument:
     def test_round_trip_plain(self):
         doc = rf.ModelDocument(params=rf.ModelParams(0.8, 0.3, 1.0))
@@ -394,3 +553,13 @@ class TestModelDocument:
         doc = rf.ModelDocument(params=rf.ModelParams(value, -value, value))
         again = rf.decode_model_document(rf.encode_model_document(doc))
         assert again.params.a == doc.params.a
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_DOCUMENTS)
+    @example(text='{"a": NaN, "c": 1}')  # a type error comes before a missing field
+    @example(text='{"a": 0, "b": 0, "c": 1, "forcing": {"eta": null}}')
+    def test_matches_reference_decoder(self, text):
+        """Both decoders accept with equal fields, or raise the same class."""
+        assert _decode_outcome(rf.decode_model_document, text) == _decode_outcome(
+            _reference_decode, text
+        )

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ class TestFiniteDifference:
             assert max_err("forward", h) / max_err("forward", h / 2) >= 1.9
             assert max_err("backward", h) / max_err("backward", h / 2) >= 1.9
             assert max_err("central", h) / max_err("central", h / 2) >= 3.6
+
+    def test_quotient_beyond_the_doubles_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steep = rf.TimeSeries([0.0, 1e-300], [1.7e308, -1.7e308])
+            for scheme in ("forward", "backward"):
+                with pytest.raises(rf.SolutionOverflowError):
+                    rf.finite_difference(steep, scheme)
+            # the gap itself overflows, so v/gap would read 0
+            wide = rf.TimeSeries([-1.7e308, 0.0, 1.7e308], [0.0, 1.0, 1.7e308])
+            with pytest.raises(rf.SolutionOverflowError):
+                rf.finite_difference(wide, "central")
 
 
 class TestSeeding:
@@ -437,6 +450,18 @@ class TestForecast:
         params = rf.ModelParams(0.3, 0.1, 1.0)
         with pytest.raises(rf.InvalidStepError, match="not finite"):
             rf.forecast(params, 1.7e308, 1e308, 1e307)
+
+    def test_value_beyond_the_doubles_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rf.SolutionOverflowError, match="p\\(t\\)"):
+                rf.forecast(rf.ModelParams(1, 0, 1e10), 0.0, 700.0, 100.0)
+
+    def test_step_that_cannot_separate_points(self):
+        with pytest.raises(rf.InvalidStepError, match="does not separate"):
+            rf.forecast(rf.ModelParams(0, 0, 1), 1e100, 1.0, 0.25)
+        influence, _ = rf.forecast(rf.ModelParams(0, 0, 1), 1e100, 1e85, 4e84)
+        assert len(influence) == 2
 
     def test_point_count_capped_before_allocation(self):
         params = rf.ModelParams(0.3, 0.1, 1.0)

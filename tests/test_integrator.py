@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -307,6 +308,17 @@ class TestIntegrate:
         r2 = rf.integrate(zero_ic, f2, T, h).values
         combined = hom + r1 + r2
         assert np.max(np.abs(total - combined)) <= 1e-6 * (1.0 + np.max(np.abs(total)))
+
+    def test_forcing_beyond_the_doubles_is_named_without_a_warning(self):
+        # the forcing steps overflow; the per-sample check names it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for forcing in (
+                rf.ForcingSpec(eta=1.7e308),
+                rf.ForcingSpec(eta=rf.TimeSeries([-1.0, 1.0], [1.7e308, -1.7e308])),
+            ):
+                with pytest.raises(rf.SolutionOverflowError, match="exceeded"):
+                    rf.integrate(rf.ModelParams(0.5, 0.1, 1.0), forcing, 1.0, 0.5)
 
 
 REGIMES = {

@@ -199,6 +199,23 @@ class TestEvalSolution:
                 with pytest.raises(rf.SolutionOverflowError, match="overflows"):
                     call()
 
+    def test_value_beyond_the_doubles_is_named(self):
+        # exp(700) * 1e10 overflows; at t = 0, m*c*U is inf * 0 = nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(rf.SolutionOverflowError, match="p\\(t\\)"):
+                rf.eval_solution(rf.ModelParams(1, 0, 1e10), 700.0)
+            with pytest.raises(rf.SolutionOverflowError, match="p\\(t\\)"):
+                rf.eval_solution(rf.ModelParams(1e10, 0, 1e300), 0.0)
+            with pytest.raises(rf.SolutionOverflowError, match="p\\(t\\)"):
+                rf.eval_solution(rf.ModelParams(1, 0, 1e10), [0.0, 700.0])
+
+    def test_only_the_returned_half_is_checked(self):
+        params = rf.ModelParams(5e8, -5e8 + 1, 1e300)
+        assert rf.eval_solution(params, 3.8e-4) == 8.274671134482035e304
+        with pytest.raises(rf.SolutionOverflowError, match="p'\\(t\\)"):
+            rf.eval_solution_derivative(params, 3.8e-4)
+
 
 class TestKernelDerivative:
     def test_matches_central_differences(self):

@@ -248,3 +248,8 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_value_beyond_the_doubles_is_named(self):
+        base = rf.ModelParams(1, 0, 1e10)
+        with pytest.raises(rf.SolutionOverflowError, match="p\\(t\\)"):
+            rf.render_sweep(base, "rate", [base], 700.0, 100.0)
