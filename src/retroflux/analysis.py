@@ -170,11 +170,12 @@ def yearly_summary(series: TimeSeries, window: float) -> list[SummaryRow]:
     """
     if not (math.isfinite(window) and window > 0):
         raise ValueError(f"window must be positive, got {window!r}")
-    t0 = float(series.times[0])
-    ratio = (float(series.times[-1]) - t0) / window
+    t0, t1 = float(series.times[0]), float(series.times[-1])
+    q = 1.0 if math.isfinite(t1 - t0) else 0.5  # halves are exact at spans past the doubles
+    ratio = (q * t1 - q * t0) / (q * window)
     if ratio > MAX_STEPS:
         raise InvalidStepError(f"span/window = {ratio:.3g} exceeds the limit of {MAX_STEPS}")
-    index = np.floor((series.times - t0) / window).astype(int)
+    index = np.floor((q * series.times - q * t0) / (q * window)).astype(int)
     # times increase, so each window is one contiguous run of the index
     lows = [0, *(np.flatnonzero(np.diff(index)) + 1).tolist()]
     highs = [*lows[1:], index.size]
@@ -190,7 +191,7 @@ def yearly_summary(series: TimeSeries, window: float) -> list[SummaryRow]:
         tw, vw = series.times[lo:hi][flagged], series.values[lo:hi][flagged]
         rows.append(
             SummaryRow(
-                window_start=t0 + int(index[lo]) * window,
+                window_start=(q * t0 + int(index[lo]) * (q * window)) / q,
                 mean=math.ldexp(mean, k),
                 stddev=math.ldexp(stddev, k),
                 outliers=tuple(zip(tw.tolist(), vw.tolist())),

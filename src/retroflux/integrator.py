@@ -152,42 +152,41 @@ def goodwill_theta(spec: GoodwillSpec, t):
 def eval_forcing(forcing: ForcingSpec | None, t):
     """Total forcing theta(t) + eta(t); absent components contribute zero.
 
-    Raises OutOfRangeError when a tabulated eta does not cover t.
+    Raises OutOfRangeError naming the queried range where a tabulated eta does not cover t.
     """
     arr, scalar = _as_time_array(t)
-    _check_eta_coverage(forcing, arr, "was queried outside it")
-    out = _forcing_values(forcing or ForcingSpec(), arr)
+    theta, eta = (forcing.theta, forcing.eta) if forcing is not None else (None, None)
+    if isinstance(eta, TimeSeries):
+        lo, hi = np.min(arr, initial=math.inf), np.max(arr, initial=-math.inf)
+        if eta.times[0] > lo or eta.times[-1] < hi:
+            raise OutOfRangeError(
+                f"tabulated eta covers [{eta.times[0]:.6g}, {eta.times[-1]:.6g}] "
+                f"but is queried on [{lo:.6g}, {hi:.6g}]"
+            )
+    out = np.zeros_like(arr)
+    if theta is not None:
+        with np.errstate(over="ignore"):
+            out += np.exp(-theta.kappa * arr) + theta.alpha
+        if not np.all(np.isfinite(out)):
+            raise SolutionOverflowError("goodwill term overflows at strongly negative times")
+    if isinstance(eta, TimeSeries):
+        out += np.interp(arr, eta.times, eta.values)
+    elif eta is not None:
+        out += eta
     return float(out[0]) if scalar else out
 
 
-def _check_eta_coverage(forcing: ForcingSpec | None, t, needed: str) -> None:
-    if forcing is None or not isinstance(forcing.eta, TimeSeries):
-        return
-    lo, hi = forcing.eta.times[0], forcing.eta.times[-1]
-    if lo > np.min(t, initial=math.inf) or hi < np.max(t, initial=-math.inf):
-        raise OutOfRangeError(f"tabulated eta covers [{lo:.6g}, {hi:.6g}] but {needed}")
-
-
-def _forcing_values(forcing: ForcingSpec, t: np.ndarray) -> np.ndarray:
-    """theta(t) + eta(t) at finite times that a tabulated eta covers."""
-    out = np.zeros_like(t)
-    if forcing.theta is not None:
-        with np.errstate(over="ignore"):
-            out += np.exp(-forcing.theta.kappa * t) + forcing.theta.alpha
-        if not np.all(np.isfinite(out)):
-            raise SolutionOverflowError("goodwill term overflows at strongly negative times")
-    if isinstance(forcing.eta, TimeSeries):
-        out += np.interp(t, forcing.eta.times, forcing.eta.values)
-    elif forcing.eta is not None:
-        out += forcing.eta
-    return out
-
-
-def _forcing_steps(forcing: ForcingSpec, grid: np.ndarray, h: float, a: float, b: float):
-    """Forcing f_k of every RK4 step, shape (2, n), from G = (g(t), -g(-t))."""
-    mid = 0.5 * (grid[:-1] + grid[1:])
-    gf = np.stack([_forcing_values(forcing, grid), -_forcing_values(forcing, -grid)])
-    gh = np.stack([_forcing_values(forcing, mid), -_forcing_values(forcing, -mid)])
+def _forcing_steps(forcing: ForcingSpec, T: float, n: int, a: float, b: float):
+    """Forcing f_k of every RK4 step, shape (2, n), from G = (g(t), -g(-t))
+    sampled through eval_forcing at the n+1 step ends, then the n midpoints."""
+    # linspace pins T, so an eta tabulated on [-T, T] is never queried outside it;
+    # 0 - t queries +0 rather than -0, so an uncovered eta is named on [-T, 0]
+    t = np.linspace(0.0, T, n + 1)
+    t = np.concatenate([t, 0.5 * (t[:-1] + t[1:])])
+    g = np.stack([eval_forcing(forcing, t), -eval_forcing(forcing, np.subtract(0.0, t, out=t))])
+    del t  # the f_k temporaries below then peak lower
+    gf, gh = g[:, : n + 1], g[:, n + 1 :]
+    h = T / n
     hs = h * h * (a * a - b * b)
     x = (h + h * hs / 4.0) * gf[:, :-1] + 2.0 * h * gh
     f = (1.0 + hs / 2.0) * gf[:, :-1] + (4.0 + hs / 2.0) * gh + gf[:, 1:]
@@ -259,18 +258,13 @@ def integrate(
         raise InvalidStepError(f"step h must satisfy 0 < h <= T, got {h!r}")
     if T / h >= MAX_STEPS + 0.5:
         raise InvalidStepError(f"T/h = {T / h:.3g} steps exceeds the limit of {MAX_STEPS}")
-    needed = f"integration needs [-{T:.6g}, {T:.6g}] (mirror state evaluates eta at -t)"
-    _check_eta_coverage(forcing, (-T, T), needed)
 
     n = max(1, round(T / h))
     h = T / n
     a, b = params.a, params.b
-    f = None
+    forced = forcing is not None and (forcing.theta is not None or forcing.eta is not None)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        if forcing is not None and (forcing.theta is not None or forcing.eta is not None):
-            # linspace pins both endpoints exactly, so tabulated forcing declared
-            # on [-T, T] is never queried an ulp outside its own range
-            f = _forcing_steps(forcing, np.linspace(0.0, T, n + 1), h, a, b)
+        f = _forcing_steps(forcing, T, n, a, b) if forced else None
         P, Q = _scan(a, b, params.c, h, n, f)
         ok = np.abs(P[1:]) < _OVERFLOW_LIMIT
         ok &= np.abs(Q[1:]) < _OVERFLOW_LIMIT

@@ -140,13 +140,13 @@ def solution_coefficients(params: ModelParams, tol: float = REGIME_TOL) -> Coeff
 
     Applying p(0) = c and p'(0) = (a+b)*c to p = w1*e^{rt} + w2*e^{-rt} gives
 
-        w1 = (c/2r)*(r + a + b)      w2 = (c/2r)*(r - a - b)
+        w1 = c*((r + a + b)/2r)      w2 = c*((r - a - b)/2r)
 
     so w1 + w2 = c exactly; w2 is computed as c - w1 so the sum rule holds to
-    one rounding unit even when the two terms nearly cancel.  Raises
-    NotExponentialError when the discriminant is not strictly above the
-    linear band; callers should fall back to eval_solution, which is
-    regime-stable.
+    one rounding unit even when the two terms nearly cancel.  A coefficient
+    beyond the doubles is a SolutionOverflowError.  Raises NotExponentialError
+    when the discriminant is not strictly above the linear band; callers
+    should fall back to eval_solution, which is regime-stable.
     """
     s = _s(params)
     if s <= _linear_halfwidth(params, tol):
@@ -156,8 +156,11 @@ def solution_coefficients(params: ModelParams, tol: float = REGIME_TOL) -> Coeff
         )
     r = math.sqrt(s)
     m = params.a + params.b
-    w1 = params.c / (2.0 * r) * (r + m)
-    return Coefficients(w1=w1, w2=params.c - w1, r=r)
+    w1 = params.c * ((r + m) / (2.0 * r))
+    w2 = params.c - w1  # infinite whenever w1 is
+    if not math.isfinite(w2):
+        raise SolutionOverflowError(f"coefficients w1={w1!r}, w2={w2!r} overflow")
+    return Coefficients(w1=w1, w2=w2, r=r)
 
 
 def _kernels(s: float, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

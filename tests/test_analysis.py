@@ -158,6 +158,15 @@ class TestDominance:
         params = rf.ModelParams(-2, 0, 1)
         assert rf.dominant_term(params, 0.0) is rf.Dominance.DECAYING_TERM
 
+    def test_coefficient_near_the_double_limit(self):
+        # the ratio (r + m)/2r = 1 is formed first, so c = 1.7e308 stays finite
+        params = rf.ModelParams(0.3, 0, 1.7e308)
+        coeffs = rf.solution_coefficients(params)
+        assert (coeffs.w1, coeffs.w2) == (1.7e308, 0.0)
+        assert rf.dominant_term(params, 0.0) is rf.Dominance.GROWING_TERM
+        with pytest.raises(rf.SolutionOverflowError, match="overflow"):
+            rf.dominant_term(rf.ModelParams(0.3, 0.2, 1.7e308), 0.0)
+
     def test_zero_influence_balanced(self):
         assert rf.dominant_term(rf.ModelParams(2, 0, 0), 1.0) is rf.Dominance.BALANCED
 
@@ -342,6 +351,16 @@ class TestYearlySummary:
             with pytest.raises(ValueError, match="strictly increasing"):
                 rf.TimeSeries([1e308, -1e308], [0.0, 1.0])
         assert len(series) == 2
+
+    def test_span_beyond_the_doubles(self):
+        # 1e308 - (-1e308) overflows; the windows are measured in halves,
+        # which only such spans use: halving 5e-324 would round it to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = rf.yearly_summary(rf.TimeSeries([-1e308, 1e308], [1.0, 2.0]), 1e308)
+            tiny = rf.yearly_summary(rf.TimeSeries([5e-324, 1e-323], [1.0, 2.0]), 5e-324)
+        assert [(r.window_start, r.mean) for r in rows] == [(-1e308, 1.0), (1e308, 2.0)]
+        assert [(r.window_start, r.mean) for r in tiny] == [(5e-324, 1.0), (1e-323, 2.0)]
 
     def test_moments_of_values_near_the_double_range(self):
         with warnings.catch_warnings():

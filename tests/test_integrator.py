@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import retroflux as rf
-from retroflux.integrator import _forcing_steps
+import retroflux.integrator as integrator
 
 RNG_SEED = 20260809
 
@@ -104,6 +104,40 @@ def forced_exact(params, kappa, alpha, eta, t):
     return y
 
 
+def tabulated_exact(params, eta, t):
+    """Exact mirror state (p(t), p(-t)) on the grid t >= 0 under a tabulated
+    eta alone, which is linear between its knots.
+
+    G(t) = (eta(t), -eta(-t)) is then linear between the breakpoints t_i (the
+    knots and negated knots in [0, T]): G(t_i + u) = G_i + u G'_i.  Variation
+    of constants with E(u) = exp(uA) = V I + U A gives
+        y(t_i + u) = E(u) y_i + J(u) G_i + K(u) G'_i,
+    J = integral of E over [0, u] = U I + W A with W = 2 U(u/2)^2 = (V - 1)/s,
+    K = integral of (u - x) E(x) = W I + (U - u)/s A, and u^3/6 for (U - u)/s
+    at s = 0, where E(u) = I + u A.
+    """
+    a, b, c = params.a, params.b, params.c
+    s = a * a - b * b
+    A = np.array([[a, b], [-b, -a]])
+    T, knots = t[-1], eta.times
+    breaks = np.unique(np.concatenate([[0.0, T], knots, -knots]).clip(0.0, T))
+    G = np.stack([np.interp(breaks, knots, eta.values), -np.interp(-breaks, knots, eta.values)])
+    dG = np.diff(G) / np.diff(breaks)
+
+    def advance(y, g, dg, u):
+        V, U = _kernel_pair(s, u)
+        _, Uh = _kernel_pair(s, u / 2.0)
+        W = 2.0 * Uh * Uh
+        UA = u**3 / 6.0 if s == 0 else (U - u) / s
+        return V * y + U * g + W * dg + A @ (U * y + W * g + UA * dg)
+
+    Y = [np.array([c, c])]
+    for i, u in enumerate(np.diff(breaks)):
+        Y.append(advance(Y[-1], G[:, i], dG[:, i], u))
+    i = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, breaks.size - 2)
+    return advance(np.array(Y).T[:, i], G[:, i], dG[:, i], t - breaks[i])
+
+
 def random_bounded_params(rng, s_max=4.0):
     while True:
         a, b = rng.uniform(-2, 2, size=2)
@@ -150,7 +184,7 @@ class TestForcing:
 
     def test_tabulated_out_of_range(self):
         eta = rf.TimeSeries([0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(rf.OutOfRangeError):
+        with pytest.raises(rf.OutOfRangeError, match=r"covers \[0, 1\] but is queried on \[2, 2\]"):
             rf.eval_forcing(rf.ForcingSpec(eta=eta), 2.0)
 
     def test_tabulated_interpolates(self):
@@ -159,31 +193,39 @@ class TestForcing:
 
 
 class TestForcingSteps:
-    """`_forcing_steps` skips the checks of the public eval_forcing, which
-    integrate has made once for the whole grid; its f_k must still equal,
-    bit for bit, the ones built from eval_forcing."""
+    """integrate samples theta + eta only through eval_forcing, which the
+    benchmark tracer times as its integrator.forcing span: once at the step
+    ends and midpoints of [0, T], once at their negations."""
+
+    @staticmethod
+    def _record_calls(monkeypatch):
+        calls = []
+
+        def counting(forcing, t):
+            calls.append((np.size(t), float(np.min(t)), float(np.max(t))))
+            return rf.eval_forcing(forcing, t)
+
+        monkeypatch.setattr(integrator, "eval_forcing", counting)
+        return calls
 
     @pytest.mark.parametrize("tabulated", [False, True])
-    def test_matches_public_eval_forcing(self, tabulated):
-        T, n, a, b = 5.0, 1000, 0.3, 0.8
+    def test_samples_through_eval_forcing(self, monkeypatch, tabulated):
+        T, n = 5.0, 1000
         if tabulated:
             knots = np.linspace(-T, T, 101)
             eta = rf.TimeSeries(knots, np.random.default_rng(RNG_SEED).normal(size=101))
             forcing = rf.ForcingSpec(eta=eta)
         else:
             forcing = rf.ForcingSpec(theta=rf.GoodwillSpec(1.0, 0.25), eta=0.5)
-        grid = np.linspace(0.0, T, n + 1)
-        h = T / n
-        mid = 0.5 * (grid[:-1] + grid[1:])
-        gf = np.stack([rf.eval_forcing(forcing, grid), -rf.eval_forcing(forcing, -grid)])
-        gh = np.stack([rf.eval_forcing(forcing, mid), -rf.eval_forcing(forcing, -mid)])
-        hs = h * h * (a * a - b * b)
-        x = (h + h * hs / 4.0) * gf[:, :-1] + 2.0 * h * gh
-        f = (1.0 + hs / 2.0) * gf[:, :-1] + (4.0 + hs / 2.0) * gh + gf[:, 1:]
-        f[0] += a * x[0] + b * x[1]
-        f[1] -= b * x[0] + a * x[1]
-        f *= h / 6.0
-        assert np.array_equal(_forcing_steps(forcing, grid, h, a, b), f)
+        calls = self._record_calls(monkeypatch)
+        rf.integrate(rf.ModelParams(0.3, 0.8, 1.0), forcing, T, T / n)
+        assert calls == [(2 * n + 1, 0.0, T), (2 * n + 1, -T, 0.0)]
+
+    @pytest.mark.parametrize("forcing", [None, rf.ForcingSpec()])
+    def test_unforced_makes_no_call(self, monkeypatch, forcing):
+        calls = self._record_calls(monkeypatch)
+        rf.integrate(rf.ModelParams(0.3, 0.8, 1.0), forcing, 5.0, 5e-3)
+        assert calls == []
 
 
 class TestIntegrate:
@@ -256,7 +298,8 @@ class TestIntegrate:
 
     def test_forcing_coverage_checked_upfront(self):
         eta = rf.TimeSeries([0.0, 5.0], [1.0, 1.0])  # misses [-5, 0)
-        with pytest.raises(rf.OutOfRangeError):
+        message = r"covers \[0, 5\] but is queried on \[-5, 0\]"  # names the mirror half
+        with pytest.raises(rf.OutOfRangeError, match=message):
             rf.integrate(rf.ModelParams(0, 0, 1), rf.ForcingSpec(eta=eta), 5.0, 0.1)
 
     def test_oracle_agreement_50_random(self):
@@ -345,6 +388,28 @@ class TestForcedOracle:
         exact = np.concatenate([q[1:][::-1], p])
         err = np.max(np.abs(traj.values - exact)) / np.max(np.abs(exact))
         assert err <= 1e-9, (regime, kappa, err)
+
+
+class TestTabulatedOracle:
+    # knots on the step grid: a kink inside a step costs O(h^2)
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize(
+        "knots, values",
+        [
+            ([-5.0, 5.0], [1.5, -0.5]),
+            ([-5.0, -3.2, -0.7, 1.1, 2.9, 5.0], [0.4, -1.0, 0.8, 2.0, -0.3, 0.6]),
+        ],
+    )
+    def test_variation_of_constants(self, regime, knots, values):
+        params = REGIMES[regime]
+        forcing = rf.ForcingSpec(eta=rf.TimeSeries(knots, values))
+        T, h = 5.0, 1e-3
+        traj = rf.integrate(params, forcing, T, h)
+        t = traj.h * np.arange(round(T / traj.h) + 1)
+        p, q = tabulated_exact(params, forcing.eta, t)
+        exact = np.concatenate([q[1:][::-1], p])
+        err = np.max(np.abs(traj.values - exact)) / np.max(np.abs(exact))
+        assert err <= 1e-9, (regime, err)
 
 
 def _forcing_strategy(T):

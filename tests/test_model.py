@@ -79,6 +79,11 @@ class TestCoefficients:
         dp = c.r * c.w1 * np.exp(c.r * t) - c.r * c.w2 * np.exp(-c.r * t)
         assert np.max(np.abs(dp - 5 * p - 3 * pm)) <= 1e-9 * np.max(np.abs(p))
 
+    def test_overflowing_coefficients_are_named(self):
+        for params in (rf.ModelParams(0.3, 0.2, 1.7e308), rf.ModelParams(-0.3, -0.2, 1.7e308)):
+            with pytest.raises(rf.SolutionOverflowError, match="overflow"):
+                rf.solution_coefficients(params)
+
     def test_linear_case_rejected(self):
         with pytest.raises(rf.NotExponentialError):
             rf.solution_coefficients(rf.ModelParams(1, 1, 1))
